@@ -1,8 +1,10 @@
-// Thread-pool scaling benchmark for the three parallelized hot paths:
+// Thread-pool scaling benchmark for the two pool-parallel hot paths:
 //
 //   1. profile collection  (estimator training corpus; dominates DSE setup)
 //   2. explorer candidate scoring (exhaustive sweep over a design space)
-//   3. per-epoch mini-batch construction inside the runtime backend
+//
+// (A training run's own epoch concurrency is the epoch executor's, not
+// the pool's; bench_pipeline sweeps it.)
 //
 // Each path runs at 1/2/4/8 pool threads and reports wall time and
 // speedup vs 1 thread, plus a determinism checksum that must not change
@@ -17,7 +19,6 @@
 #include "estimator/perf_estimator.hpp"
 #include "estimator/profile_collector.hpp"
 #include "graph/dataset.hpp"
-#include "runtime/templates.hpp"
 #include "support/parallel.hpp"
 
 using namespace gnav;
@@ -69,24 +70,6 @@ PathResult bench_explorer(const dse::DesignSpace& space,
   return r;
 }
 
-PathResult bench_backend_epochs(const graph::Dataset& ds,
-                                const hw::HardwareProfile& hw,
-                                support::ThreadPool& pool) {
-  runtime::RuntimeBackend backend(ds, hw);
-  runtime::TrainConfig config = runtime::template_pyg();
-  config.batch_size = 256;
-  runtime::RunOptions opts;
-  opts.epochs = 4;
-  opts.seed = 11;
-  opts.pool = &pool;
-  const auto start = std::chrono::steady_clock::now();
-  const auto report = backend.run(config, opts);
-  PathResult r;
-  r.wall_s = seconds_since(start);
-  r.checksum = report.epoch_time_s + report.test_accuracy;
-  return r;
-}
-
 void report_path(const char* name, const std::vector<int>& threads,
                  const std::vector<PathResult>& results) {
   std::printf("%-22s", name);
@@ -123,15 +106,13 @@ int main() {
   for (int t : threads) std::printf("  %9d      ", t);
   std::printf("\n");
 
-  std::vector<PathResult> collect, explore, backend;
+  std::vector<PathResult> collect, explore;
   for (int t : threads) {
     support::ThreadPool pool(static_cast<std::size_t>(t));
     collect.push_back(bench_profile_collection(ds, hw, pool));
     explore.push_back(bench_explorer(space, est, stats, pool));
-    backend.push_back(bench_backend_epochs(ds, hw, pool));
   }
   report_path("profile collection", threads, collect);
   report_path("explorer sweep", threads, explore);
-  report_path("backend epochs", threads, backend);
   return 0;
 }

@@ -112,7 +112,6 @@ std::vector<ProfiledRun> collect_profiles(const graph::Dataset& dataset,
     ro.evaluate_every_epoch = false;
     ro.record_batch_sizes = true;
     ro.seed = options.seed + static_cast<std::uint64_t>(i) * 7919ULL;
-    ro.pool = &pool;
     ro.backend_id = backend_id;
     // A controlled fraction of the corpus runs under the async executor
     // so its measured stage walls exist for the overlap-model fit. WHICH

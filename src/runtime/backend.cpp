@@ -234,18 +234,14 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
 
   // Cache-aware bias couples batch i's sampling to batch i-1's cache
   // update through the residency bitmap, so sampling and cache update
-  // cannot parallelize against each other; everything else pre-builds
-  // mini-batches concurrently.
+  // cannot parallelize against each other (the async shape chains them
+  // onto one producer; the inline shape is serial anyway).
   const bool biased_sampling = preference != nullptr;
-  support::ThreadPool& pool =
-      options.pool ? *options.pool : support::global_pool();
 
-  // Epoch executor selection. Both executors produce bit-identical
-  // reports (see RunOptions::pipeline); the async one additionally
-  // overlaps the sample / transfer / compute stages for real and records
-  // the measured overlap next to Eq. 4's prediction.
+  // The epoch executor's shape (sync inline | async staged) comes from
+  // RunOptions::pipeline; both produce bit-identical reports, and the
+  // executor is the only clock of the measured stage walls.
   const PipelineConfig& pipe = options.pipeline;
-  const bool async_executor = pipe.mode == PipelineMode::kAsync;
   PipelineEpochStats run_measured;  // real wall-clock totals, all epochs
   const std::size_t num_batches = batcher.batches_per_epoch();
 
@@ -260,8 +256,8 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
     std::size_t correct = 0;
     std::size_t total = 0;
 
-    // Seed of batch i this epoch: task_seed(epoch_seed, i) in both the
-    // serial and parallel paths, so bias is the only behavioral delta.
+    // Seed of batch i this epoch: task_seed(epoch_seed, i) in every
+    // executor shape, so bias is the only behavioral delta.
     const std::uint64_t epoch_seed = support::task_seed(
         options.seed ^ 0xB47C4E5EEDULL, static_cast<std::uint64_t>(epoch));
     const auto seed_batches = batcher.epoch_batches(rng);
@@ -274,11 +270,8 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
       // scope; pool workers may carry another job's scope).
       const compute::BackendScope stage_scope(run_backend);
       GNAV_TRACE_SPAN("pipeline", "sample");
-      const auto t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
       Rng batch_rng(support::task_seed(epoch_seed, i));
       auto mb = sampler->sample(ds.graph, seed_batches[i], batch_rng);
-      profiler.add_measured_stage(Profiler::Stage::kSample,
-                                  detail::seconds_since(t0));
       sampler_batches_metric.add(1);
       return mb;
     };
@@ -286,14 +279,13 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
     // Component 2: transmission (cache lookup -> transfer misses) plus
     // feature staging. Runs in STRICT batch order — under the async
     // executor on the single transfer thread — so the cache hit/miss
-    // sequence and every profiler accumulation are order-identical to
-    // the synchronous path (the passed sequence number enforces it).
+    // sequence and every profiler accumulation are order-identical in
+    // every executor shape (the passed sequence number enforces it).
     auto prepare_batch = [&](std::size_t i, sampling::MiniBatch&& mb) {
       // Same per-stage pin as sample_batch: the transfer stage runs on
       // its own thread under the async executor.
       const compute::BackendScope stage_scope(run_backend);
       GNAV_TRACE_SPAN("pipeline", "transfer");
-      const auto stage_t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
       const cache::LookupResult lookup = device_cache.lookup_and_update(
           mb.nodes, static_cast<std::int64_t>(
                         static_cast<std::uint64_t>(epoch) * num_batches +
@@ -394,8 +386,6 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
         labels[s] = ds.labels[static_cast<std::size_t>(
             mb.nodes[static_cast<std::size_t>(mb.seed_local[s])])];
       }
-      profiler.add_measured_stage(Profiler::Stage::kTransfer,
-                                  detail::seconds_since(stage_t0));
       return PreparedBatch{std::move(mb), std::move(x), std::move(labels)};
     };
 
@@ -404,7 +394,6 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
     // stream are serialized by batch index under both executors.
     auto consume_batch = [&](std::size_t, PreparedBatch&& p) {
       GNAV_TRACE_SPAN("pipeline", "compute");
-      const auto stage_t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
       tensor::Tensor logits = model.forward(p.mb.subgraph, p.x, true, rng);
       const nn::LossResult loss =
           nn::softmax_cross_entropy(logits, p.mb.seed_local, p.labels);
@@ -421,70 +410,17 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
         report.per_batch_nodes.push_back(
             static_cast<double>(p.mb.num_nodes()));
       }
-      profiler.add_measured_stage(Profiler::Stage::kCompute,
-                                  detail::seconds_since(stage_t0));
     };
 
-    PipelineEpochStats epoch_measured;
-    if (async_executor) {
-      // Pipelined executor: sampler workers feed the ordered transfer
-      // stage through bounded queues while this thread trains. Biased
-      // sampling chains sample+prepare on one producer (batch i's
-      // sampling must observe batch i-1's cache update) but still
-      // overlaps compute.
-      epoch_measured = run_pipelined_epoch<sampling::MiniBatch, PreparedBatch>(
-          seed_batches.size(), pipe, /*chain_sample_and_prepare=*/
-          biased_sampling, sample_batch, prepare_batch, consume_batch);
-    } else if (biased_sampling) {
-      // Synchronous serial path: sample -> transfer -> compute per batch.
-      // gnav-lint(wall-clock): profiler walls — measured stage seconds.
-      const auto epoch_start = detail::Clock::now();
-      epoch_measured.batches = seed_batches.size();
-      epoch_measured.sampler_workers = 1;
-      for (std::size_t i = 0; i < seed_batches.size(); ++i) {
-        auto t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        sampling::MiniBatch mb = sample_batch(i);
-        epoch_measured.sample_busy_s += detail::seconds_since(t0);
-        t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        PreparedBatch p = prepare_batch(i, std::move(mb));
-        epoch_measured.transfer_busy_s += detail::seconds_since(t0);
-        t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        consume_batch(i, std::move(p));
-        epoch_measured.compute_busy_s += detail::seconds_since(t0);
-      }
-      epoch_measured.wall_s = detail::seconds_since(epoch_start);
-    } else {
-      // Synchronous prefetch path: pool workers build batch i+1..i+w
-      // while the serial transfer/train steps consume batch i (PyG
-      // num_workers-style prefetching). The window caps live mini-batch
-      // memory at ~4 per worker. Only the caller's blocked time counts
-      // as the sampling stage — the builds themselves overlap.
-      // gnav-lint(wall-clock): profiler wall — epoch wall seconds.
-      const auto epoch_start = detail::Clock::now();
-      const std::size_t window = std::max<std::size_t>(8, pool.size() * 4);
-      epoch_measured.batches = seed_batches.size();
-      epoch_measured.sampler_workers = pool.size();
-      epoch_measured.prefetch_depth = window;
-      sampling::MiniBatchLoader loader(*sampler, ds.graph, seed_batches,
-                                       epoch_seed, pool, window);
-      for (std::size_t i = 0; !loader.done(); ++i) {
-        sampling::MiniBatch mb = loader.next();
-        auto t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        PreparedBatch p = prepare_batch(i, std::move(mb));
-        epoch_measured.transfer_busy_s += detail::seconds_since(t0);
-        t0 = detail::Clock::now();  // gnav-lint(wall-clock): profiler wall
-        consume_batch(i, std::move(p));
-        epoch_measured.compute_busy_s += detail::seconds_since(t0);
-      }
-      epoch_measured.sample_busy_s = loader.wait_s();
-      epoch_measured.wall_s = detail::seconds_since(epoch_start);
-    }
-    profiler.record_epoch_measured(epoch_measured);
-    // The async executor publishes its epoch metrics itself; the two
-    // synchronous paths publish here so every executor feeds the same
-    // instruments.
-    if (!async_executor) detail::publish_epoch_metrics(epoch_measured);
-    run_measured.accumulate(epoch_measured);
+    // Inline: this thread runs sample -> prepare -> consume per batch.
+    // Async: sampler workers feed the ordered transfer stage through
+    // bounded queues while this thread trains; biased sampling chains
+    // sample+prepare on one producer (batch i's sampling must observe
+    // batch i-1's cache update) but still overlaps compute.
+    run_measured.accumulate(
+        run_pipelined_epoch<sampling::MiniBatch, PreparedBatch>(
+            seed_batches.size(), pipe, /*chain_sample_and_prepare=*/
+            biased_sampling, sample_batch, prepare_batch, consume_batch));
     report.pipeline.modeled_overlapped_s +=
         profiler.epoch_modeled_overlapped_s() * time_scale;
     report.pipeline.modeled_sequential_s +=

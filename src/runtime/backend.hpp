@@ -49,7 +49,8 @@ struct PipelineReport {
   /// shrink-the-depth signal).
   double mean_queue_occupancy = 0.0;
 
-  /// Measured per-stage busy seconds (sync: serial section timings).
+  /// Measured per-stage busy seconds, summed over every call the epoch
+  /// executor timed (in either shape).
   double sample_wall_s = 0.0;
   double transfer_wall_s = 0.0;
   double compute_wall_s = 0.0;
@@ -128,9 +129,10 @@ struct RunOptions {
   bool evaluate_every_epoch = true;
   /// Collect per-batch |V_i| samples (Fig. 5 ground truth).
   bool record_batch_sizes = false;
-  /// Pool for concurrent mini-batch construction (nullptr → global pool).
-  /// Results are bit-identical at any pool size: every batch draws from
-  /// its own task_seed-derived RNG.
+  /// Ignored by run(): the epoch executor owns its threads (see
+  /// `pipeline`), and nested kernel work follows the calling thread's
+  /// pool membership. Kept for source compatibility with callers that
+  /// still set it.
   support::ThreadPool* pool = nullptr;
   /// Compute backend executing every forward/backward in this run (see
   /// compute/backend.hpp; all built-in CPU backends are bit-identical, so
@@ -140,12 +142,13 @@ struct RunOptions {
   /// thread AND inside every async stage closure — no global state is
   /// consulted mid-run.
   std::string backend_id = compute::current_backend_id();
-  /// Epoch executor selection (sync | async) plus prefetch depth and
-  /// sampler worker count, defaulted from GNAV_PIPELINE /
-  /// GNAV_PIPELINE_DEPTH / GNAV_PIPELINE_WORKERS. The async executor
+  /// Epoch executor shape (sync inline | async staged) plus prefetch
+  /// depth and sampler worker count, defaulted from GNAV_PIPELINE /
+  /// GNAV_PIPELINE_DEPTH / GNAV_PIPELINE_WORKERS. The async shape
   /// produces a bit-identical TrainReport (batch stream, cache hit/miss
   /// sequence, losses, accuracies, memory, modeled times) at any depth
-  /// and worker count — only wall-clock observables change.
+  /// and worker count — only wall-clock observables change. Depth and
+  /// workers are ignored inline (reported as 0 and 1).
   PipelineConfig pipeline = default_pipeline_config();
 };
 

@@ -115,10 +115,10 @@ void publish_epoch_metrics(const PipelineEpochStats& stats) {
   // Resolved once per process; the registry hands out stable references.
   static obs::Counter& epochs =
       reg.counter("gnav_pipeline_epochs_total", {},
-                  "Epochs executed by the staged epoch executors");
+                  "Epochs executed by the epoch executor");
   static obs::Counter& batches =
       reg.counter("gnav_pipeline_batches_total", {},
-                  "Mini-batches moved through the epoch executors");
+                  "Mini-batches moved through the epoch executor");
   static obs::Counter& push_stalls = reg.counter(
       "gnav_pipeline_push_stalls_total", {},
       "Queue-full waits across both hand-off queues (backpressure)");
@@ -136,6 +136,20 @@ void publish_epoch_metrics(const PipelineEpochStats& stats) {
   static obs::Gauge& efficiency = reg.gauge(
       "gnav_pipeline_overlap_efficiency", {},
       "Fraction of hideable stage time actually hidden, last epoch");
+  // Process-cumulative busy seconds per stage (Prometheus counters are
+  // integral here, so second-sums are gauges — see obs/metrics.hpp).
+  static obs::Gauge& sample_busy =
+      reg.gauge("gnav_stage_busy_seconds_total", {{"stage", "sample"}},
+                "Cumulative measured stage wall seconds");
+  static obs::Gauge& transfer_busy =
+      reg.gauge("gnav_stage_busy_seconds_total", {{"stage", "transfer"}},
+                "Cumulative measured stage wall seconds");
+  static obs::Gauge& compute_busy =
+      reg.gauge("gnav_stage_busy_seconds_total", {{"stage", "compute"}},
+                "Cumulative measured stage wall seconds");
+  sample_busy.add(stats.sample_busy_s);
+  transfer_busy.add(stats.transfer_busy_s);
+  compute_busy.add(stats.compute_busy_s);
   epochs.add(1);
   batches.add(stats.batches);
   push_stalls.add(stats.push_stalls);

@@ -1,7 +1,14 @@
-// Pipelined epoch executor — the real (wall-clock) counterpart of the
-// cost model's Eq. 4. The synchronous runtime executes Algo. 1 strictly
-// in sequence; this subsystem runs each epoch as a staged
-// producer/consumer pipeline over bounded StagedQueues:
+// Epoch executor — the real (wall-clock) counterpart of the cost model's
+// Eq. 4, and the only place a training epoch's stages are driven and
+// timed. It has two shapes of the same sample -> prepare -> consume
+// contract:
+//
+//   sync   the degenerate inline shape: the calling thread runs
+//          sample(i) -> prepare(i) -> consume(i) for each batch in order.
+//          No threads, no queues, no gate, no InlineExecutionScope (so
+//          nested pool work inside the callbacks fans out exactly as it
+//          would for any caller); one sampler, prefetch depth 0.
+//   async  a staged producer/consumer pipeline over bounded StagedQueues:
 //
 //   [sampler worker xN] --> sampled queue --> [transfer/cache stage]
 //        --> prepared queue --> [compute stage, calling thread]
@@ -13,7 +20,7 @@
 //   - The transfer stage reorders out-of-order arrivals and applies
 //     device-cache admissions, cost-model accounting, and feature
 //     staging in STRICT batch order — the cache hit/miss sequence is
-//     bit-identical to the synchronous path.
+//     bit-identical to the inline shape.
 //   - The compute stage (the caller's thread) trains on batch i while
 //     batches i+1..i+depth are in flight; optimizer steps and the
 //     dropout RNG stream stay serialized by batch index.
@@ -30,15 +37,19 @@
 // cache update through the residency bitmap, so its sample+transfer
 // stages cannot parallelize; `chain_sample_and_prepare` collapses them
 // into one producer thread (sample(i) observes exactly the post-update
-// residency of batch i-1, as in the synchronous path) that still
-// overlaps the compute stage.
+// residency of batch i-1, as in the inline shape) that still overlaps
+// the compute stage.
 //
 // Determinism contract: only wall-clock observables (stage busy seconds,
-// stall counts, queue occupancy) depend on thread count and prefetch
-// depth. Everything data-bearing — batches, cache state sequence, loss
-// trajectory, profiler phase sums — is bit-identical to the synchronous
-// executor because every side-effecting callback runs in strict batch
-// order on a single stage.
+// stall counts, queue occupancy) depend on the shape, thread count and
+// prefetch depth. Everything data-bearing — batches, cache state
+// sequence, loss trajectory, profiler phase sums — is bit-identical
+// across shapes because every side-effecting callback runs in strict
+// batch order on a single stage.
+//
+// Each callback is timed exactly once, here; the PipelineEpochStats this
+// returns is the one measured stage-wall record (the report, the corpus
+// and the obs gauges are all sums of it).
 #pragma once
 
 #include <algorithm>
@@ -69,11 +80,12 @@ PipelineMode pipeline_mode_from_string(const std::string& s);
 
 struct PipelineConfig {
   PipelineMode mode = PipelineMode::kSync;
-  /// Bound on in-flight mini-batches (claimed but not yet consumed by the
-  /// transfer stage) and on each inter-stage queue.
+  /// Async only: bound on in-flight mini-batches (claimed but not yet
+  /// consumed by the transfer stage) and on each inter-stage queue.
   std::size_t prefetch_depth = 4;
-  /// Sampler worker threads; 0 resolves to default_thread_count(). The
-  /// executor additionally clamps to min(prefetch_depth, num_batches).
+  /// Async only: sampler worker threads; 0 resolves to
+  /// default_thread_count(). The executor additionally clamps to
+  /// min(prefetch_depth, num_batches).
   std::size_t sampler_workers = 0;
 };
 
@@ -87,9 +99,8 @@ struct PipelineConfig {
 PipelineConfig default_pipeline_config();
 
 /// Measured (real wall-clock, NOT simulated) execution profile of one
-/// epoch. Busy seconds are summed over the calls each stage made; for
-/// the synchronous executor "sample busy" is the time the caller spent
-/// blocked waiting on mini-batch construction.
+/// epoch. Busy seconds are summed over the calls each stage made, in both
+/// shapes: inline, the three sums plus loop overhead make up the wall.
 struct PipelineEpochStats {
   std::uint64_t batches = 0;
   std::size_t sampler_workers = 0;
@@ -193,14 +204,16 @@ class ErrorLatch {
 };
 
 /// Publishes one epoch's measured stats to the obs metrics registry
-/// (stall counters, occupancy histogram, wall/overlap gauges). No-op
-/// cost when metrics are disabled beyond a relaxed load per instrument.
+/// (stage busy-second gauges, stall counters, occupancy histogram,
+/// wall/overlap gauges). No-op cost when metrics are disabled beyond a
+/// relaxed load per instrument.
 void publish_epoch_metrics(const PipelineEpochStats& stats);
 
 }  // namespace detail
 
-/// Runs one epoch of `num_batches` mini-batches as an asynchronous
-/// pipeline and returns its measured stats.
+/// Runs one epoch of `num_batches` mini-batches in the shape
+/// `config.mode` selects, publishes its measured stats to the metrics
+/// registry, and returns them.
 ///
 ///   sample:  (std::size_t i) -> Sampled.   Thread-safe; called from
 ///            dedicated worker threads in arbitrary index order (must
@@ -211,10 +224,13 @@ void publish_epoch_metrics(const PipelineEpochStats& stats);
 ///   consume: (std::size_t i, Prepared&&) -> void.  Called in strict
 ///            batch order on the calling thread (train step).
 ///
-/// With `chain_sample_and_prepare` the sample and prepare callbacks run
-/// back-to-back on one producer thread (required when sampling batch i
-/// reads state written by prepare(i-1), e.g. cache-aware bias).
-/// Exceptions from any stage shut the pipeline down and rethrow here.
+/// Inline (kSync) every callback runs on the calling thread and
+/// exceptions propagate directly. Async, with `chain_sample_and_prepare`
+/// the sample and prepare callbacks run back-to-back on one producer
+/// thread (required when sampling batch i reads state written by
+/// prepare(i-1), e.g. cache-aware bias — the inline shape satisfies it by
+/// construction); exceptions from any stage shut the pipeline down and
+/// rethrow here.
 template <typename Sampled, typename Prepared, typename SampleFn,
           typename PrepareFn, typename ConsumeFn>
 PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
@@ -234,9 +250,33 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
 
   PipelineEpochStats stats;
   stats.batches = num_batches;
+  const bool inline_shape = config.mode == PipelineMode::kSync;
   const std::size_t depth = std::max<std::size_t>(1, config.prefetch_depth);
-  stats.prefetch_depth = depth;
+  stats.prefetch_depth = inline_shape ? 0 : depth;
   if (num_batches == 0) return stats;
+
+  if (inline_shape) {
+    stats.sampler_workers = 1;
+    // gnav-lint(wall-clock): profiler wall
+    const auto epoch_start = Clock::now();
+    for (std::size_t i = 0; i < num_batches; ++i) {
+      // gnav-lint(wall-clock): profiler wall
+      auto t0 = Clock::now();
+      Sampled s = sample(i);
+      stats.sample_busy_s += seconds_since(t0);
+      // gnav-lint(wall-clock): profiler wall
+      t0 = Clock::now();
+      Prepared p = prepare(i, std::move(s));
+      stats.transfer_busy_s += seconds_since(t0);
+      // gnav-lint(wall-clock): profiler wall
+      t0 = Clock::now();
+      consume(i, std::move(p));
+      stats.compute_busy_s += seconds_since(t0);
+    }
+    stats.wall_s = seconds_since(epoch_start);
+    detail::publish_epoch_metrics(stats);
+    return stats;
+  }
 
   support::StagedQueue<IndexedSampled> sampled(depth);
   support::StagedQueue<IndexedPrepared> prepared(depth);

@@ -2,39 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-
 namespace gnav::runtime {
-
-namespace {
-
-/// Registry instruments fed by the live measured-stage stream. Resolved
-/// once; the gauges are cumulative busy seconds per stage across the
-/// process (Prometheus counters are integral here, so second-sums are
-/// gauges — see obs/metrics.hpp).
-struct StageInstruments {
-  obs::Gauge& sample_s;
-  obs::Gauge& transfer_s;
-  obs::Gauge& compute_s;
-  obs::Counter& batches;
-};
-
-StageInstruments& stage_instruments() {
-  auto& reg = obs::MetricsRegistry::global();
-  static StageInstruments s{
-      reg.gauge("gnav_stage_busy_seconds_total", {{"stage", "sample"}},
-                "Cumulative measured stage wall seconds"),
-      reg.gauge("gnav_stage_busy_seconds_total", {{"stage", "transfer"}},
-                "Cumulative measured stage wall seconds"),
-      reg.gauge("gnav_stage_busy_seconds_total", {{"stage", "compute"}},
-                "Cumulative measured stage wall seconds"),
-      reg.counter("gnav_batches_trained_total", {},
-                  "Mini-batches whose compute stage finished"),
-  };
-  return s;
-}
-
-}  // namespace
 
 void Profiler::record_iteration(const hw::IterationTimes& times,
                                 bool pipelined) {
@@ -52,44 +20,6 @@ void Profiler::record_device_memory(double bytes) {
   peak_device_bytes_ = std::max(peak_device_bytes_, bytes);
 }
 
-void Profiler::record_epoch_measured(const PipelineEpochStats& measured) {
-  const support::MutexLock lock(measured_mu_);
-  measured_ = measured;
-}
-
-void Profiler::add_measured_stage(Stage stage, double busy_s) {
-  {
-    const support::MutexLock lock(measured_mu_);
-    switch (stage) {
-      case Stage::kSample:
-        live_.sample_busy_s += busy_s;
-        break;
-      case Stage::kTransfer:
-        live_.transfer_busy_s += busy_s;
-        break;
-      case Stage::kCompute:
-        live_.compute_busy_s += busy_s;
-        ++live_.batches;
-        break;
-    }
-  }
-  // Metrics outside the lock: instrument updates are atomic and the
-  // registry gauge is process-cumulative, not per-epoch.
-  StageInstruments& ins = stage_instruments();
-  switch (stage) {
-    case Stage::kSample:
-      ins.sample_s.add(busy_s);
-      break;
-    case Stage::kTransfer:
-      ins.transfer_s.add(busy_s);
-      break;
-    case Stage::kCompute:
-      ins.compute_s.add(busy_s);
-      ins.batches.add(1);
-      break;
-  }
-}
-
 void Profiler::reset_epoch() {
   epoch_phases_ = PhaseBreakdown{};
   epoch_wall_s_ = 0.0;
@@ -97,19 +27,6 @@ void Profiler::reset_epoch() {
   epoch_modeled_sequential_s_ = 0.0;
   // peak_device_bytes_ persists: it is a run-level high-water mark.
   iterations_ = 0;
-  const support::MutexLock lock(measured_mu_);
-  measured_ = PipelineEpochStats{};
-  live_ = PipelineEpochStats{};
-}
-
-PipelineEpochStats Profiler::epoch_measured() const {
-  const support::MutexLock lock(measured_mu_);
-  return measured_;
-}
-
-PipelineEpochStats Profiler::measured_snapshot() const {
-  const support::MutexLock lock(measured_mu_);
-  return live_;
 }
 
 }  // namespace gnav::runtime

@@ -1,9 +1,8 @@
 #include "sampling/batcher.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace gnav::sampling {
 
@@ -30,57 +29,6 @@ std::vector<std::vector<graph::NodeId>> SeedBatcher::epoch_batches(Rng& rng) {
                      train_nodes_.begin() + static_cast<std::ptrdiff_t>(end));
   }
   return out;
-}
-
-MiniBatchLoader::MiniBatchLoader(
-    const Sampler& sampler, const graph::CsrGraph& g,
-    const std::vector<std::vector<graph::NodeId>>& seed_batches,
-    std::uint64_t epoch_seed, support::ThreadPool& pool, std::size_t window)
-    : sampler_(&sampler),
-      graph_(&g),
-      seed_batches_(&seed_batches),
-      epoch_seed_(epoch_seed),
-      pool_(&pool),
-      window_(std::max<std::size_t>(1, window)) {
-  top_up();
-}
-
-MiniBatchLoader::~MiniBatchLoader() {
-  // Outstanding builds reference *this; wait them out before members die.
-  for (auto& fut : pending_) {
-    try {
-      fut.get();
-    } catch (...) {
-      // Destruction is only reached with builds in flight when unwinding
-      // from a consumer exception; the build's own error is secondary.
-    }
-  }
-}
-
-void MiniBatchLoader::top_up() {
-  while (next_index_ < seed_batches_->size() &&
-         pending_.size() < window_) {
-    const std::size_t i = next_index_++;
-    pending_.push_back(pool_->submit([this, i] {
-      Rng rng(support::task_seed(epoch_seed_, i));
-      return sampler_->sample(*graph_, (*seed_batches_)[i], rng);
-    }));
-  }
-}
-
-MiniBatch MiniBatchLoader::next() {
-  GNAV_CHECK(!pending_.empty(), "MiniBatchLoader exhausted");
-  std::future<MiniBatch> fut = std::move(pending_.front());
-  pending_.pop_front();
-  top_up();
-  // gnav-lint(wall-clock): profiler wall — caller-blocked seconds only.
-  const auto t0 = std::chrono::steady_clock::now();
-  fut.wait();
-  wait_s_ += std::chrono::duration<double>(
-                 // gnav-lint(wall-clock): profiler wall — closes t0 above.
-                 std::chrono::steady_clock::now() - t0)
-                 .count();
-  return fut.get();
 }
 
 }  // namespace gnav::sampling

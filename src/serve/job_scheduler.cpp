@@ -223,7 +223,6 @@ void JobScheduler::run_job(JobOutcome& job) {
     ro.evaluate_every_epoch = request.evaluate_every_epoch;
     // Feedback rows feed PerfEstimator::fit like collector rows do.
     ro.record_batch_sizes = true;
-    ro.pool = options_.pool;
     ro.backend_id = request.backend_id;
     ro.pipeline = request.pipeline;
     job.report = backend_->run(job.decided_config, ro);

@@ -33,7 +33,7 @@
 // defaults. Each job carries its own RunOptions — explicit compute
 // backend id (resolved per stage thread via compute::BackendScope inside
 // the runtime backend; there is no process-global kernel slot left to
-// bypass it), explicit pipeline config, explicit pool — and a
+// bypass it), explicit pipeline config — and a
 // deterministic per-job seed (`task_seed(scheduler seed, job id)` unless
 // the request pins one), so every job's TrainReport is bit-identical to
 // running that job alone even while another tenant flips
@@ -144,8 +144,8 @@ struct SchedulerOptions {
   /// Bound on concurrently running jobs (effective concurrency is
   /// additionally capped by the pool's worker count).
   std::size_t max_active = 2;
-  /// Shared pool jobs run on (nullptr → support::global_pool()). Every
-  /// job's RunOptions::pool is set to this pool explicitly.
+  /// Shared pool jobs run on (nullptr → support::global_pool()); a job's
+  /// training runs on the lane worker that picked it up.
   support::ThreadPool* pool = nullptr;
   /// Base of the deterministic per-job seeds.
   std::uint64_t seed = 1;

@@ -506,19 +506,24 @@ TEST(BackendEndToEnd, BlockedAndArenaReportsBitIdenticalAtPools128) {
   config.batch_size = 128;
 
   std::vector<runtime::TrainReport> reports;
-  for (const std::size_t pool_size : {1u, 2u, 8u}) {
-    support::ThreadPool pool(pool_size);
+  const auto run_every_backend = [&] {
     for (const char* id :
          {compute::kBlockedBackendId, compute::kArenaBackendId,
           compute::kScalarBackendId}) {
       runtime::RunOptions ro;
       ro.epochs = 2;
       ro.seed = 33;
-      ro.pool = &pool;
       ro.backend_id = id;
       reports.push_back(backend.run(config, ro));
       EXPECT_EQ(reports.back().backend_id, id);
     }
+  };
+  // Main thread: nested work fans out to the global pool. Inside a worker
+  // of each pool: it runs inline on that worker.
+  run_every_backend();
+  for (const std::size_t pool_size : {1u, 2u, 8u}) {
+    support::ThreadPool pool(pool_size);
+    pool.submit(run_every_backend).get();
   }
   const runtime::TrainReport& ref = reports.front();
   for (std::size_t i = 1; i < reports.size(); ++i) {

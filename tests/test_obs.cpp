@@ -404,7 +404,7 @@ TEST(ObsContract, TrainReportBitIdenticalTelemetryOnVsOff) {
   }
   expect_reports_bit_identical(off_r, on_r);
 
-  // Sync executor too (separate instrumentation path in backend.cpp).
+  // Inline sync shape too (same closures, no stage threads).
   runtime::RunOptions sync_opts = opts;
   sync_opts.pipeline = runtime::PipelineConfig{};
   const auto sync_off = backend.run(config, sync_opts);
@@ -470,12 +470,9 @@ TEST(ObsContract, MetricSnapshotDeterministicAcrossPoolSizes) {
   std::map<std::string, double> reference;
   for (const std::size_t pool_size : {1u, 2u, 8u}) {
     support::ThreadPool pool(pool_size);
-    runtime::RunOptions opts = async_run_options();
-    opts.pool = &pool;
-
     const TelemetryOn on;
     MetricsRegistry::global().reset_values();
-    backend.run(config, opts);
+    pool.submit([&] { backend.run(config, async_run_options()); }).get();
 
     std::map<std::string, double> got;
     for (const auto& s : MetricsRegistry::global().snapshot()) {
@@ -488,6 +485,35 @@ TEST(ObsContract, MetricSnapshotDeterministicAcrossPoolSizes) {
     } else {
       EXPECT_EQ(reference, got) << "pool size " << pool_size;
     }
+  }
+}
+
+TEST(ObsContract, StageBusyGaugesEqualTheReportsStageWalls) {
+  // One stage clock: the executor's per-epoch stats feed both the report
+  // and the gauges, summed in the same order, so they agree exactly.
+  const graph::Dataset ds = small_dataset();
+  runtime::RuntimeBackend backend(ds, hw::make_profile("rtx4090"));
+  runtime::TrainConfig config = runtime::template_pagraph_full();
+  config.batch_size = 128;
+  runtime::RunOptions sync_opts = async_run_options();
+  sync_opts.pipeline = runtime::PipelineConfig{};
+
+  for (const runtime::RunOptions& opts : {sync_opts, async_run_options()}) {
+    SCOPED_TRACE(runtime::to_string(opts.pipeline.mode));
+    const TelemetryOn on;
+    auto& reg = MetricsRegistry::global();
+    reg.reset_values();
+    const runtime::TrainReport r = backend.run(config, opts);
+    const auto stage_gauge = [&](const char* stage) {
+      return reg
+          .gauge("gnav_stage_busy_seconds_total", {{"stage", stage}},
+                 "Cumulative measured stage wall seconds")
+          .value();
+    };
+    EXPECT_GT(r.pipeline.sample_wall_s, 0.0);
+    EXPECT_EQ(stage_gauge("sample"), r.pipeline.sample_wall_s);
+    EXPECT_EQ(stage_gauge("transfer"), r.pipeline.transfer_wall_s);
+    EXPECT_EQ(stage_gauge("compute"), r.pipeline.compute_wall_s);
   }
 }
 

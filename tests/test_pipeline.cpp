@@ -1,9 +1,10 @@
-// Tests for the pipelined epoch executor subsystem: the bounded MPMC
-// StagedQueue, the run_pipelined_epoch stage driver (ordering, bounded
-// prefetch, error propagation), the env-knob validation, and the
-// headline contract — the async executor's TrainReport is bit-identical
-// to the synchronous executor's for every template configuration at any
-// worker count and prefetch depth (only wall-clock observables differ).
+// Tests for the epoch executor subsystem: the bounded MPMC StagedQueue,
+// the run_pipelined_epoch stage driver in both shapes (inline sync:
+// every callback on the calling thread; async: ordering, bounded
+// prefetch), error propagation, the env-knob validation, and the
+// headline contract — the async shape's TrainReport is bit-identical to
+// the inline shape's for every template configuration at any worker
+// count and prefetch depth (only wall-clock observables differ).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -175,6 +176,36 @@ PipelineConfig async_config(std::size_t workers, std::size_t depth) {
   return c;
 }
 
+TEST(PipelinedEpoch, SyncShapeRunsEveryCallbackInlineOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> calls;
+  const auto on_caller = [&](const char* stage, std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << stage << i;
+    // No InlineExecutionScope: nested pool work fans out as it would for
+    // any caller.
+    EXPECT_FALSE(support::ThreadPool::in_worker()) << stage << i;
+    calls.push_back(stage + std::to_string(i));
+  };
+  const auto stats = runtime::run_pipelined_epoch<int, int>(
+      3, PipelineConfig{}, /*chain_sample_and_prepare=*/false,
+      [&](std::size_t i) {
+        on_caller("s", i);
+        return static_cast<int>(i);
+      },
+      [&](std::size_t i, int&& v) {
+        on_caller("p", i);
+        return v;
+      },
+      [&](std::size_t i, int&&) { on_caller("c", i); });
+  EXPECT_EQ(calls, (std::vector<std::string>{"s0", "p0", "c0", "s1", "p1",
+                                             "c1", "s2", "p2", "c2"}));
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.sampler_workers, 1u);
+  EXPECT_EQ(stats.prefetch_depth, 0u);
+  EXPECT_EQ(stats.push_stalls + stats.pop_stalls, 0u);
+  EXPECT_GT(stats.wall_s, 0.0);
+}
+
 TEST(PipelinedEpoch, StagesRunInStrictBatchOrderAtAnyShape) {
   for (const std::size_t workers : {1u, 2u, 8u}) {
     for (const std::size_t depth : {1u, 2u, 4u}) {
@@ -272,51 +303,59 @@ TEST(PipelinedEpoch, BackpressureIsObservableWhenComputeIsSlow) {
 }
 
 TEST(PipelinedEpoch, ConsumerExceptionShutsDownAndPropagates) {
-  EXPECT_THROW(
-      (runtime::run_pipelined_epoch<int, int>(
-          500, async_config(4, 4), false,
-          [](std::size_t i) { return static_cast<int>(i); },
-          [](std::size_t, int&& v) { return v; },
-          [](std::size_t i, int&&) {
-            if (i == 3) throw Error("consumer boom");
-          })),
-      Error);
+  for (const PipelineConfig& config : {async_config(4, 4), PipelineConfig{}}) {
+    EXPECT_THROW(
+        (runtime::run_pipelined_epoch<int, int>(
+            500, config, false,
+            [](std::size_t i) { return static_cast<int>(i); },
+            [](std::size_t, int&& v) { return v; },
+            [](std::size_t i, int&&) {
+              if (i == 3) throw Error("consumer boom");
+            })),
+        Error);
+  }
 }
 
 TEST(PipelinedEpoch, SamplerExceptionShutsDownAndPropagates) {
-  for (const bool chain : {false, true}) {
+  for (const PipelineConfig& config : {async_config(2, 2), PipelineConfig{}}) {
+    for (const bool chain : {false, true}) {
+      EXPECT_THROW(
+          (runtime::run_pipelined_epoch<int, int>(
+              500, config, chain,
+              [](std::size_t i) {
+                if (i == 17) throw Error("sampler boom");
+                return static_cast<int>(i);
+              },
+              [](std::size_t, int&& v) { return v; },
+              [](std::size_t, int&&) {})),
+          Error);
+    }
+  }
+}
+
+TEST(PipelinedEpoch, TransferExceptionShutsDownAndPropagates) {
+  for (const PipelineConfig& config : {async_config(2, 4), PipelineConfig{}}) {
     EXPECT_THROW(
         (runtime::run_pipelined_epoch<int, int>(
-            500, async_config(2, 2), chain,
-            [](std::size_t i) {
-              if (i == 17) throw Error("sampler boom");
-              return static_cast<int>(i);
+            500, config, false,
+            [](std::size_t i) { return static_cast<int>(i); },
+            [](std::size_t i, int&& v) {
+              if (i == 29) throw Error("transfer boom");
+              return v;
             },
-            [](std::size_t, int&& v) { return v; },
             [](std::size_t, int&&) {})),
         Error);
   }
 }
 
-TEST(PipelinedEpoch, TransferExceptionShutsDownAndPropagates) {
-  EXPECT_THROW(
-      (runtime::run_pipelined_epoch<int, int>(
-          500, async_config(2, 4), false,
-          [](std::size_t i) { return static_cast<int>(i); },
-          [](std::size_t i, int&& v) {
-            if (i == 29) throw Error("transfer boom");
-            return v;
-          },
-          [](std::size_t, int&&) {})),
-      Error);
-}
-
 TEST(PipelinedEpoch, ZeroBatchesIsANoOp) {
-  const auto stats = runtime::run_pipelined_epoch<int, int>(
-      0, async_config(2, 2), false,
-      [](std::size_t i) { return static_cast<int>(i); },
-      [](std::size_t, int&& v) { return v; }, [](std::size_t, int&&) {});
-  EXPECT_EQ(stats.batches, 0u);
+  for (const PipelineConfig& config : {async_config(2, 2), PipelineConfig{}}) {
+    const auto stats = runtime::run_pipelined_epoch<int, int>(
+        0, config, false,
+        [](std::size_t i) { return static_cast<int>(i); },
+        [](std::size_t, int&& v) { return v; }, [](std::size_t, int&&) {});
+    EXPECT_EQ(stats.batches, 0u);
+  }
 }
 
 TEST(PipelineEpochStats, OverlapEfficiencyEndpoints) {
@@ -580,9 +619,32 @@ TEST(ExecutorReport, SyncAccountsStageWallsToo) {
   const auto r = backend.run(config, opts);
   EXPECT_EQ(r.pipeline.executor, "sync");
   EXPECT_GT(r.pipeline.measured_wall_s, 0.0);
+  EXPECT_GT(r.pipeline.sample_wall_s, 0.0);
   EXPECT_GT(r.pipeline.transfer_wall_s, 0.0);
   EXPECT_GT(r.pipeline.compute_wall_s, 0.0);
-  EXPECT_EQ(r.pipeline.push_stalls, 0u);  // no queues in the sync path
+  EXPECT_EQ(r.pipeline.push_stalls, 0u);  // no queues in the inline shape
+}
+
+TEST(ExecutorReport, UnbiasedSyncRunOnAPoolWorkerTimesItsOwnSampling) {
+  // Inside a pool worker the sampling of an unbiased sync run executes
+  // serially on that worker; the report must say so and charge the
+  // sampling seconds to the sample stage.
+  const graph::Dataset ds = small_dataset();
+  runtime::RuntimeBackend backend(ds, hw::make_profile("rtx4090"));
+  runtime::TrainConfig config = runtime::template_by_name("pyg");
+  ASSERT_EQ(config.bias_rate, 0.0);
+  config.batch_size = 64;
+  runtime::RunOptions opts;
+  opts.epochs = 1;
+  opts.pipeline.mode = PipelineMode::kSync;
+  support::ThreadPool pool(2);
+  const auto r = pool.submit([&] { return backend.run(config, opts); }).get();
+  EXPECT_EQ(r.pipeline.sampler_workers, 1u);
+  EXPECT_EQ(r.pipeline.prefetch_depth, 0u);
+  EXPECT_GT(r.pipeline.sample_wall_s, 0.0);
+  // Inline, the stage walls are disjoint slices of the epoch wall.
+  EXPECT_LE(r.pipeline.measured_sequential_s(),
+            r.pipeline.measured_wall_s * (1.0 + 1e-9));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/graph_stats.hpp"
+#include "runtime/pipeline.hpp"
 #include "sampling/batch_size_model.hpp"
 #include "sampling/batcher.hpp"
 #include "sampling/sampler_factory.hpp"
@@ -264,10 +265,10 @@ TEST(SamplerEdgeCases, FullyBiasedSamplingWithEmptyPreferenceSet) {
 
 // ------------------------------------------------------------------
 // The per-batch task_seed determinism contract: for every sampler kind
-// the epoch's mini-batch stream must be bit-identical whether batches
-// build on 1, 2, or 8 pool threads.
+// the epoch's mini-batch stream must be bit-identical whether the epoch
+// executor builds it inline or on 1, 2, or 8 async sampler workers.
 
-TEST(MiniBatchLoader, BitIdenticalAcrossThreadCounts) {
+TEST(SampleStream, BitIdenticalAcrossExecutorShapes) {
   const auto g = test_graph();
   Rng seed_rng(59);
   std::vector<graph::NodeId> train;
@@ -284,22 +285,33 @@ TEST(MiniBatchLoader, BitIdenticalAcrossThreadCounts) {
     settings.kind = kind;
     settings.hop_list = {4, 4};
     const auto sampler = make_sampler(settings, nullptr);
-
-    std::vector<MiniBatch> reference;
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      support::ThreadPool pool(threads);
-      MiniBatchLoader loader(*sampler, g, seed_batches, epoch_seed, pool,
-                             /*window=*/4);
+    const auto epoch_stream = [&](const runtime::PipelineConfig& config) {
       std::vector<MiniBatch> stream;
-      while (!loader.done()) stream.push_back(loader.next());
-      if (threads == 1u) {
-        reference = std::move(stream);
-        continue;
-      }
+      runtime::run_pipelined_epoch<MiniBatch, MiniBatch>(
+          seed_batches.size(), config, /*chain_sample_and_prepare=*/false,
+          [&](std::size_t i) {
+            Rng rng(support::task_seed(epoch_seed, i));
+            return sampler->sample(g, seed_batches[i], rng);
+          },
+          [](std::size_t, MiniBatch&& mb) { return std::move(mb); },
+          [&](std::size_t, MiniBatch&& mb) {
+            stream.push_back(std::move(mb));
+          });
+      return stream;
+    };
+
+    const std::vector<MiniBatch> reference =
+        epoch_stream(runtime::PipelineConfig{});  // sync: inline
+    for (std::size_t workers : {1u, 2u, 8u}) {
+      runtime::PipelineConfig async;
+      async.mode = runtime::PipelineMode::kAsync;
+      async.sampler_workers = workers;
+      async.prefetch_depth = 4;
+      const std::vector<MiniBatch> stream = epoch_stream(async);
       ASSERT_EQ(stream.size(), reference.size()) << to_string(kind);
       for (std::size_t i = 0; i < stream.size(); ++i) {
         EXPECT_EQ(stream[i].nodes, reference[i].nodes)
-            << to_string(kind) << " batch " << i << " @" << threads;
+            << to_string(kind) << " batch " << i << " @" << workers;
         EXPECT_EQ(stream[i].seed_local, reference[i].seed_local)
             << to_string(kind) << " batch " << i;
         EXPECT_EQ(stream[i].subgraph.indptr(),

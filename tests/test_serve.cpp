@@ -80,16 +80,14 @@ void expect_reports_bit_identical(const runtime::TrainReport& solo,
             contended.pipeline.modeled_sequential_s);
 }
 
-/// Rebuilds the exact RunOptions run_job() used for `job`, pointed at
-/// `pool` — running the backend with these IS "running the job alone".
-runtime::RunOptions solo_options(const JobOutcome& job,
-                                 support::ThreadPool* pool) {
+/// Rebuilds the exact RunOptions run_job() used for `job` — running the
+/// backend with these IS "running the job alone".
+runtime::RunOptions solo_options(const JobOutcome& job) {
   runtime::RunOptions ro;
   ro.epochs = job.request.epochs;
   ro.seed = job.seed;
   ro.evaluate_every_epoch = job.request.evaluate_every_epoch;
   ro.record_batch_sizes = true;
-  ro.pool = pool;
   ro.backend_id = job.request.backend_id;
   ro.pipeline = job.request.pipeline;
   return ro;
@@ -374,7 +372,7 @@ TEST_F(ServeContention, ReportsMatchSoloAtPoolSizes1_2_8) {
     for (std::size_t id = 0; id < seeder.size(); ++id) {
       solo.push_back(backend_->run(
           seeder.outcome(id).request.config,
-          solo_options(seeder.outcome(id), &solo_pool)));
+          solo_options(seeder.outcome(id))));
     }
   }
 
@@ -433,11 +431,10 @@ TEST_F(ServeSpmmIsolation, ConcurrentBackendsIgnoreHostileDefaultFlip) {
             compute::kBlockedBackendId);
   EXPECT_EQ(sched.outcome(s_id).report.backend_id,
             compute::kScalarBackendId);
-  support::ThreadPool solo_pool(2);
-  const auto solo_blocked = backend_->run(
-      blocked.config, solo_options(sched.outcome(b_id), &solo_pool));
-  const auto solo_scalar = backend_->run(
-      scalar.config, solo_options(sched.outcome(s_id), &solo_pool));
+  const auto solo_blocked =
+      backend_->run(blocked.config, solo_options(sched.outcome(b_id)));
+  const auto solo_scalar =
+      backend_->run(scalar.config, solo_options(sched.outcome(s_id)));
   expect_reports_bit_identical(solo_blocked, sched.outcome(b_id).report);
   expect_reports_bit_identical(solo_scalar, sched.outcome(s_id).report);
 }
