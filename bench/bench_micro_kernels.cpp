@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/device_cache.hpp"
-#include "compute/backend.hpp"
 #include "graph/dataset.hpp"
 #include "graph/generators.hpp"
 #include "kernels/spmm.hpp"
@@ -80,43 +79,6 @@ void BM_SpmmSum(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmSum)
     ->ArgNames({"family", "impl", "dim"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}, {32, 64, 128}})
-    ->Unit(benchmark::kMillisecond);
-
-// --- Backend A/B: cpu-blocked vs cpu-arena through the factory ---------
-//
-// Same families/dims as BM_SpmmSum but routed through the ComputeBackend
-// interface, so the numbers include the dispatch a training run actually
-// pays. CI runs this with --benchmark_filter=BM_BackendSpmm and archives
-// the JSON — the acceptance cell is rmat (family 2) at dim 64, where the
-// arena backend's batched-SIMD row kernel plus the plan-cached arena
-// must be no slower than cpu-blocked.
-void BM_BackendSpmm(benchmark::State& state) {
-  const auto& g = family_graph(static_cast<int>(state.range(0)));
-  const char* id = state.range(1) == 0 ? compute::kBlockedBackendId
-                                       : compute::kArenaBackendId;
-  const auto backend = compute::BackendFactory::create(id);
-  const auto dim = static_cast<std::size_t>(state.range(2));
-  Rng rng(45);
-  const auto x = tensor::Tensor::uniform(
-      static_cast<std::size_t>(g.num_nodes()), dim, -1, 1, rng);
-  tensor::Tensor y(x.rows(), x.cols());
-  // Warm the arena's plan cache outside the timed loop — steady-state
-  // epochs reuse the plan, and that is the regime the A/B compares.
-  backend->spmm(g, x, y, kernels::SpmmScales{});
-  for (auto _ : state) {
-    backend->spmm(g, x, y, kernels::SpmmScales{});
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-  state.SetLabel(id);
-  state.counters["gflops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          nn::aggregation_flops(g, dim) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BackendSpmm)
-    ->ArgNames({"family", "backend", "dim"})
     ->ArgsProduct({{0, 1, 2}, {0, 1}, {32, 64, 128}})
     ->Unit(benchmark::kMillisecond);
 

@@ -4,7 +4,7 @@
 //                  --priority ex-tm --max-memory-gb 8 --epochs 4
 //                  [--corpus corpus.csv] [--save-corpus corpus.csv]
 //                  [--pipeline sync|async] [--pipeline-depth N]
-//                  [--backend cpu-scalar|cpu-blocked|cpu-arena]
+//                  [--backend cpu-scalar|cpu-blocked]
 //                  [--serve-jobs N] [--serve-tenants N]
 //                  [--trace-out trace.json] [--metrics-out metrics.prom]
 //
@@ -26,8 +26,13 @@
 // invocation and writes Chrome trace-event JSON (load in Perfetto or
 // chrome://tracing) at exit; --metrics-out FILE writes the Prometheus
 // text exposition of the metrics registry. Either flag alone works.
+//
+// An unknown flag (e.g. a typo like --epoch) is an error: the CLI exits 1
+// listing the flags it knows, before any dataset is loaded.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -43,6 +48,15 @@ using namespace gnav;
 
 namespace {
 
+/// Every flag main() reads; parse_args rejects anything else.
+constexpr const char* kFlags[] = {
+    "backend",       "corpus",         "dataset",       "epochs",
+    "hw",            "max-epoch-s",    "max-memory-gb", "metrics-out",
+    "min-accuracy",  "model",          "pipeline",      "pipeline-depth",
+    "priority",      "save-corpus",    "serve-jobs",    "serve-tenants",
+    "trace-out",
+};
+
 std::map<std::string, std::string> parse_args(int argc, char** argv) {
   std::map<std::string, std::string> args;
   for (int i = 1; i < argc; ++i) {
@@ -51,6 +65,15 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
       throw Error("expected --flag, got '" + key + "'");
     }
     key = key.substr(2);
+    if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
+        std::end(kFlags)) {
+      std::string known;
+      for (const char* flag : kFlags) {
+        known += known.empty() ? "--" : ", --";
+        known += flag;
+      }
+      throw Error("unknown flag --" + key + " (known: " + known + ")");
+    }
     GNAV_CHECK(i + 1 < argc, "flag --" + key + " needs a value");
     args[key] = argv[++i];
   }

@@ -1,19 +1,11 @@
 #include "compute/backend.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <new>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
@@ -150,63 +142,6 @@ class AlignedHeapAllocator final : public DeviceAllocator {
   }
 };
 
-/// Hugepage-backed arena allocator: rounds every allocation up to 2 MiB
-/// and asks the kernel to back it with transparent hugepages, cutting TLB
-/// pressure on the multi-hundred-MB cache feature slabs. Off Linux — or
-/// when mmap fails — it degrades to the aligned heap path; a pointer set
-/// remembers which deallocation path each block takes.
-class HugepageArenaAllocator final : public DeviceAllocator {
- public:
-  static constexpr std::size_t kHugepageBytes = 2u << 20;
-
- protected:
-  float* do_allocate(std::size_t count) override {
-#if defined(__linux__)
-    const std::size_t bytes = round_up(count * sizeof(float));
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-#if defined(MADV_HUGEPAGE)
-      // Best-effort: THP may be disabled system-wide; the mapping still
-      // works on 4 KiB pages.
-      (void)::madvise(p, bytes, MADV_HUGEPAGE);
-#endif
-      const support::MutexLock lock(mu_);
-      mapped_.insert(p);
-      return static_cast<float*>(p);
-    }
-#endif
-    return static_cast<float*>(::operator new(
-        count * sizeof(float), std::align_val_t{64}));
-  }
-
-  void do_deallocate(float* p, std::size_t count) override {
-#if defined(__linux__)
-    {
-      const support::MutexLock lock(mu_);
-      const auto it = mapped_.find(p);
-      if (it != mapped_.end()) {
-        mapped_.erase(it);
-        ::munmap(p, round_up(count * sizeof(float)));
-        return;
-      }
-    }
-#endif
-    ::operator delete(p, count * sizeof(float), std::align_val_t{64});
-  }
-
- private:
-  static std::size_t round_up(std::size_t bytes) {
-    return (std::max<std::size_t>(bytes, 1) + kHugepageBytes - 1) /
-           kHugepageBytes * kHugepageBytes;
-  }
-
-  support::Mutex mu_;
-  /// Membership-only (insert/find/erase — never iterated, so mmap's
-  /// address nondeterminism cannot order anything).
-  std::unordered_set<void*> mapped_ GNAV_GUARDED_BY(mu_);
-};
-
 // ---------------------------------------------------------------------------
 // Built-in backends.
 
@@ -244,78 +179,6 @@ class CpuKernelBackend : public ComputeBackend {
   mutable AlignedHeapAllocator allocator_;
 };
 
-/// "cpu-arena": the blocked SIMD kernel plus (a) a per-graph SpmmPlan
-/// cache keyed by CsrGraph::uid() — repeated SpMMs on the same graph
-/// (every layer × every epoch on a full-graph run, and the forward +
-/// backward pair per layer on any run) skip the O(V) edge-balanced
-/// partition build — and (b) hugepage-backed device memory. Cached plans
-/// are bit-transparent: kernels::spmm with a plan produces exactly the
-/// bits it produces without one.
-class CpuArenaBackend final : public ComputeBackend {
- public:
-  explicit CpuArenaBackend(BackendCapabilities declared)
-      : declared_(std::move(declared)) {}
-
-  const std::string& id() const override {
-    static const std::string kId = kArenaBackendId;
-    return kId;
-  }
-
-  BackendCapabilities capabilities() const override {
-    BackendCapabilities caps = declared_;
-    caps.simd_tier = kernels::active_spmm_isa();
-    return caps;
-  }
-
-  DeviceAllocator& allocator() const override { return allocator_; }
-
-  using ComputeBackend::spmm;
-  void spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
-            tensor::Tensor& y, const kernels::SpmmScales& scales,
-            support::ThreadPool* pool) const override {
-    const std::shared_ptr<const kernels::SpmmPlan> plan = plan_for(g);
-    kernels::spmm(g, x, y, scales, kernels::SpmmImpl::kBlocked, pool,
-                  plan.get());
-  }
-
- private:
-  /// Bounded FIFO plan cache. Shared_ptr handles keep a plan valid for
-  /// the duration of a call even if eviction races it away mid-SpMM.
-  std::shared_ptr<const kernels::SpmmPlan> plan_for(
-      const graph::CsrGraph& g) const GNAV_EXCLUDES(mu_) {
-    static constexpr std::size_t kMaxPlans = 16;
-    {
-      const support::MutexLock lock(mu_);
-      const auto it = plans_.find(g.uid());
-      if (it != plans_.end()) return it->second;
-    }
-    // Build outside the lock; concurrent builders for the same uid
-    // produce identical plans, so last-writer-wins is harmless.
-    auto plan =
-        std::make_shared<const kernels::SpmmPlan>(kernels::make_spmm_plan(g));
-    const support::MutexLock lock(mu_);
-    if (plans_.find(g.uid()) == plans_.end()) {
-      if (order_.size() >= kMaxPlans) {
-        plans_.erase(order_.front());
-        order_.pop_front();
-      }
-      order_.push_back(g.uid());
-    }
-    plans_[g.uid()] = plan;
-    return plan;
-  }
-
-  BackendCapabilities declared_;
-  mutable HugepageArenaAllocator allocator_;
-  mutable support::Mutex mu_;
-  /// Keyed lookups only; eviction order comes from order_ (a deque), so
-  /// the map's iteration order never reaches any output.
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const kernels::SpmmPlan>>
-      plans_ GNAV_GUARDED_BY(mu_);
-  mutable std::deque<std::uint64_t> order_ GNAV_GUARDED_BY(mu_);
-};
-
 // ---------------------------------------------------------------------------
 // Registry.
 
@@ -323,9 +186,7 @@ BackendCapabilities scalar_declared() {
   BackendCapabilities caps;
   caps.simd_tier = "portable";
   caps.relative_throughput = 1.0;
-  caps.max_feature_dim = 0;
   caps.supports_async_transfer = false;
-  caps.hugepage_arena = false;
   return caps;
 }
 
@@ -333,22 +194,7 @@ BackendCapabilities blocked_declared() {
   BackendCapabilities caps;
   caps.simd_tier = "auto";
   caps.relative_throughput = 1.8;
-  caps.max_feature_dim = 0;
   caps.supports_async_transfer = true;
-  caps.hugepage_arena = false;
-  return caps;
-}
-
-BackendCapabilities arena_declared() {
-  BackendCapabilities caps;
-  caps.simd_tier = "auto";
-  caps.relative_throughput = 2.0;
-  // The arena sizes slabs in whole hugepages; cap rows at 4096 floats so
-  // one row never spans more than 8 KiB (a deliberate, testable limit the
-  // DSE can constrain against).
-  caps.max_feature_dim = 4096;
-  caps.supports_async_transfer = true;
-  caps.hugepage_arena = true;
   return caps;
 }
 
@@ -360,10 +206,6 @@ std::shared_ptr<ComputeBackend> make_scalar_backend() {
 std::shared_ptr<ComputeBackend> make_blocked_backend() {
   return std::make_shared<CpuKernelBackend>(
       kBlockedBackendId, kernels::SpmmImpl::kBlocked, blocked_declared());
-}
-
-std::shared_ptr<ComputeBackend> make_arena_backend() {
-  return std::make_shared<CpuArenaBackend>(arena_declared());
 }
 
 struct RegistryEntry {
@@ -388,7 +230,6 @@ struct Registry {
     const support::MutexLock lock(mu);
     add(kScalarBackendId, scalar_declared(), &make_scalar_backend);
     add(kBlockedBackendId, blocked_declared(), &make_blocked_backend);
-    add(kArenaBackendId, arena_declared(), &make_arena_backend);
   }
 
   void add(const std::string& id, BackendCapabilities declared,

@@ -14,7 +14,7 @@
 // Bit-identity contract PER BACKEND ID: a backend must produce the exact
 // same bits for the same inputs at any thread count and on any host (the
 // kernel layer's accumulate-order contract, see kernels/spmm.hpp). The
-// golden-trace suite keys its goldens by backend id; the three built-in
+// golden-trace suite keys its goldens by backend id; the two built-in
 // CPU backends additionally produce identical bits to EACH OTHER because
 // they share the kernel layer's accumulation order — a future backend
 // with a different order gets its own golden block, not a waiver.
@@ -25,18 +25,15 @@
 //                   define correctness, not to pipeline), so the DSE
 //                   rejects pipelined configs constrained to it.
 //   "cpu-blocked" — the production register-tiled AVX2-dispatch kernel.
-//   "cpu-arena"   — batched-SIMD + hugepage arena: the blocked kernel
-//                   plus a per-graph SpmmPlan cache (amortizes the O(V)
-//                   partition build across repeated SpMMs on one graph)
-//                   and a DeviceAllocator that backs cache slabs with
-//                   madvise(MADV_HUGEPAGE) mappings.
+// Each passes its kernels::SpmmImpl to the kernel layer as a plain
+// argument; the backend id is the only selection there is.
 //
-// Selection: GNAV_BACKEND=<id> (env, replaces the old GNAV_SPMM_IMPL) or
-// BackendFactory::set_default_id() — both PROCESS-SETUP knobs only. Every
-// concurrent code path pins its backend per run with a thread-local
-// BackendScope (runtime::RunOptions::backend_id → scope in the run and in
-// every async stage closure), so flipping the default mid-flight cannot
-// reselect another job's kernels (pinned by test_serve.cpp).
+// Selection: GNAV_BACKEND=<id> (env) or BackendFactory::set_default_id()
+// — both PROCESS-SETUP knobs only. Every concurrent code path pins its
+// backend per run with a thread-local BackendScope, the one selection pin
+// in the system (runtime::RunOptions::backend_id → scope in the run and
+// in every async stage closure), so flipping the default mid-flight
+// cannot reselect another job's kernels (pinned by test_serve.cpp).
 #pragma once
 
 #include <atomic>
@@ -61,7 +58,6 @@ namespace gnav::compute {
 
 inline constexpr const char* kScalarBackendId = "cpu-scalar";
 inline constexpr const char* kBlockedBackendId = "cpu-blocked";
-inline constexpr const char* kArenaBackendId = "cpu-arena";
 
 /// Capability flags of one backend. The DECLARED capabilities (what
 /// BackendFactory::declared_capabilities returns, and what the estimator
@@ -78,15 +74,9 @@ struct BackendCapabilities {
   /// graphs (a static prior the estimator can feature on, NOT a
   /// measurement of this host).
   double relative_throughput = 1.0;
-  /// Widest feature row the backend's device memory layout supports;
-  /// 0 = unbounded. The DSE rejects configs whose feature/hidden dims
-  /// exceed it when constrained to this backend.
-  std::size_t max_feature_dim = 0;
   /// Whether the backend can overlap host->device staging with compute —
   /// the async pipelined executor requires it.
   bool supports_async_transfer = false;
-  /// Whether cache slabs come from a hugepage-backed arena.
-  bool hugepage_arena = false;
 };
 
 /// Device-memory interface a backend owns. Allocation sizes are float
@@ -244,11 +234,10 @@ class BackendFactory {
 const ComputeBackend& current_backend();
 std::string current_backend_id();
 
-/// RAII thread-local backend pin, the analog of kernels::SpmmImplScope
-/// one layer up. The runtime pins RunOptions::backend_id with it for the
-/// whole run and re-pins inside every async stage closure (fresh stage
-/// threads inherit no thread-local state), so concurrent jobs on shared
-/// pools can never observe each other's selection.
+/// RAII thread-local backend pin. The runtime pins RunOptions::backend_id
+/// with it for the whole run and re-pins inside every async stage closure
+/// (fresh stage threads inherit no thread-local state), so concurrent
+/// jobs on shared pools can never observe each other's selection.
 class BackendScope {
  public:
   explicit BackendScope(std::shared_ptr<const ComputeBackend> backend);

@@ -1,6 +1,6 @@
 #include "dse/explorer.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "compute/backend.hpp"
 #include "support/error.hpp"
@@ -38,12 +38,6 @@ bool Explorer::satisfies(const runtime::TrainConfig& config,
   // made here is valid wherever the config later runs).
   const compute::BackendCapabilities caps =
       compute::BackendFactory::declared_capabilities(constraint_backend_id(c));
-  if (caps.max_feature_dim > 0) {
-    const std::size_t widest = std::max(
-        static_cast<std::size_t>(std::max(stats_.feature_dim, 0)),
-        config.hidden_dim);
-    if (widest > caps.max_feature_dim) return false;
-  }
   if (config.pipeline_overlap && !caps.supports_async_transfer) return false;
   return true;
 }

@@ -70,11 +70,10 @@ class Explorer {
   void set_pool(support::ThreadPool* pool) { pool_ = pool; }
 
  private:
-  /// Prediction limits plus capability feasibility: a config whose shape
-  /// the constraint backend's DECLARED capabilities cannot execute
-  /// (feature/hidden dim beyond max_feature_dim, pipeline_overlap on a
-  /// backend without async transfer) is infeasible regardless of its
-  /// predicted Perf.
+  /// Prediction limits plus capability feasibility: a config the
+  /// constraint backend's DECLARED capabilities cannot execute
+  /// (pipeline_overlap on a backend without async transfer) is
+  /// infeasible regardless of its predicted Perf.
   bool satisfies(const runtime::TrainConfig& config,
                  const estimator::PerfPrediction& p,
                  const RuntimeConstraints& c) const;

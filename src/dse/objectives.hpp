@@ -32,8 +32,8 @@ struct RuntimeConstraints {
   double min_accuracy = 0.0;        // accuracy floor
   /// Compute backend the decided config will execute on. The explorer
   /// predicts with this backend's features and rejects configs its
-  /// DECLARED capabilities cannot run (feature/hidden dim beyond
-  /// max_feature_dim; pipeline_overlap without async-transfer support).
+  /// DECLARED capabilities cannot run (pipeline_overlap without
+  /// async-transfer support).
   /// Empty = the factory default, "cpu-blocked".
   std::string backend_id;
 };

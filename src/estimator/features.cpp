@@ -40,7 +40,6 @@ const std::vector<std::string>& feature_names() {
       // Declared (host-independent) capabilities of the run's compute
       // backend; see extract_features' backend_id overload.
       "backend_rel_throughput", "backend_async_transfer",
-      "backend_hugepage_arena", "backend_log_max_feat_dim",
   };
   return names;
 }
@@ -242,10 +241,6 @@ std::vector<double> extract_features(const runtime::TrainConfig& config,
       compute::BackendFactory::declared_capabilities(backend_id);
   f.push_back(caps.relative_throughput);
   f.push_back(caps.supports_async_transfer ? 1.0 : 0.0);
-  f.push_back(caps.hugepage_arena ? 1.0 : 0.0);
-  // log1p keeps "unbounded" (0) and real caps on one monotone scale:
-  // 0 → 0, 4096 → ~8.3.
-  f.push_back(std::log1p(static_cast<double>(caps.max_feature_dim)));
   return f;
 }
 

@@ -52,10 +52,10 @@ class CsrGraph {
   }
 
   /// Process-unique identity of this adjacency structure, assigned at
-  /// construction. Compute backends key cached per-graph execution plans
-  /// on it (see compute::ComputeBackend), which a raw `this` pointer
-  /// could not do safely: allocators recycle addresses across the
-  /// short-lived mini-batch subgraphs.
+  /// construction. Per-graph caches key on it (the SAINT sampler's
+  /// weighted-draw table), which a raw `this` pointer could not do
+  /// safely: allocators recycle addresses across the short-lived
+  /// mini-batch subgraphs.
   std::uint64_t uid() const { return uid_; }
 
   NodeId num_nodes() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -28,9 +27,6 @@ constexpr std::size_t kPortableTile = 16;
 /// thread count), so the partition — and the work each chunk performs —
 /// is fixed for a given input.
 constexpr std::size_t kChunkWork = 8192;
-
-thread_local bool t_override_active = false;
-thread_local SpmmImpl t_override = SpmmImpl::kBlocked;
 
 // ------------------------------------------------------------- scalar ----
 // Reference loop: row by row, full feature width per neighbor. The
@@ -329,8 +325,16 @@ void blocked_row_streaming(const EdgeId* indptr, const NodeId* indices,
   }
 }
 
-SpmmPlan make_partition(const graph::CsrGraph& g) {
-  SpmmPlan part;
+/// Edge-balanced row partition (chunk c covers rows [bounds[c],
+/// bounds[c+1])) plus the heavy-first chunk schedule. A pure function of
+/// the graph — never of the thread count or feature dim.
+struct Partition {
+  std::vector<NodeId> bounds;
+  std::vector<std::size_t> order;
+};
+
+Partition make_partition(const graph::CsrGraph& g) {
+  Partition part;
   const NodeId n = g.num_nodes();
   const EdgeId* indptr = g.indptr().data();
   part.bounds.push_back(0);
@@ -391,7 +395,7 @@ void blocked_chunk(const EdgeId* indptr, const NodeId* indices,
 
 void spmm_blocked(const graph::CsrGraph& g, const tensor::Tensor& x,
                   tensor::Tensor& y, const SpmmScales& sc,
-                  support::ThreadPool* pool, const SpmmPlan* plan) {
+                  support::ThreadPool* pool) {
   const NodeId n = g.num_nodes();
   if (n == 0) return;
   const EdgeId* indptr = g.indptr().data();
@@ -400,15 +404,7 @@ void spmm_blocked(const graph::CsrGraph& g, const tensor::Tensor& x,
   const float* xd = x.data();
   float* yd = y.data();
 
-  // A caller-supplied plan (backend plan cache) is used as-is; the plan
-  // is a pure function of the graph, so either way the partition — and
-  // therefore every output bit — is identical.
-  SpmmPlan local;
-  if (plan == nullptr) {
-    local = make_partition(g);
-    plan = &local;
-  }
-  const SpmmPlan& part = *plan;
+  const Partition part = make_partition(g);
   support::ThreadPool& exec = pool != nullptr ? *pool : support::global_pool();
 
   exec.parallel_for(0, part.order.size(), [&](std::size_t slot) {
@@ -429,22 +425,6 @@ void spmm_blocked(const graph::CsrGraph& g, const tensor::Tensor& x,
 
 }  // namespace
 
-std::string to_string(SpmmImpl impl) {
-  switch (impl) {
-    case SpmmImpl::kScalar:
-      return "scalar";
-    case SpmmImpl::kBlocked:
-      return "blocked";
-  }
-  return "unknown";
-}
-
-SpmmImpl spmm_impl_from_string(const std::string& name) {
-  if (name == "scalar") return SpmmImpl::kScalar;
-  if (name == "blocked") return SpmmImpl::kBlocked;
-  throw Error("unknown SpMM impl '" + name + "'; expected scalar|blocked");
-}
-
 void set_spmm_simd_tier(SpmmSimdTier tier) {
   g_simd_tier.store(tier, std::memory_order_relaxed);
 }
@@ -459,26 +439,9 @@ std::string active_spmm_isa() {
   return "portable";
 }
 
-SpmmPlan make_spmm_plan(const graph::CsrGraph& g) { return make_partition(g); }
-
-SpmmImpl current_spmm_impl() {
-  return t_override_active ? t_override : SpmmImpl::kBlocked;
-}
-
-SpmmImplScope::SpmmImplScope(SpmmImpl impl)
-    : prev_(t_override), prev_active_(t_override_active) {
-  t_override = impl;
-  t_override_active = true;
-}
-
-SpmmImplScope::~SpmmImplScope() {
-  t_override = prev_;
-  t_override_active = prev_active_;
-}
-
 void spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
           tensor::Tensor& y, const SpmmScales& scales, SpmmImpl impl,
-          support::ThreadPool* pool, const SpmmPlan* plan) {
+          support::ThreadPool* pool) {
   GNAV_CHECK(x.rows() == static_cast<std::size_t>(g.num_nodes()),
              "spmm: feature rows (" + std::to_string(x.rows()) +
                  ") != num_nodes (" + std::to_string(g.num_nodes()) + ")");
@@ -492,16 +455,9 @@ void spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
       spmm_scalar(g, x, y, scales);
       return;
     case SpmmImpl::kBlocked:
-      spmm_blocked(g, x, y, scales, pool, plan);
+      spmm_blocked(g, x, y, scales, pool);
       return;
   }
-}
-
-tensor::Tensor spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
-                    const SpmmScales& scales, support::ThreadPool* pool) {
-  tensor::Tensor y(x.rows(), x.cols());
-  spmm(g, x, y, scales, current_spmm_impl(), pool);
-  return y;
 }
 
 }  // namespace gnav::kernels

@@ -7,7 +7,10 @@
 //                           + sum_{u in N(v)} src_scale[u] * X[u] )
 //
 // with any of the three scale vectors optional. The layer ships two
-// interchangeable implementations behind this single entry point:
+// interchangeable implementations behind this single entry point, picked
+// by its `impl` argument. The layer holds no selection state of its own:
+// the compute backend that calls it (compute/backend.hpp) owns the
+// choice.
 //
 //   kScalar  — the naive per-edge reference loop (one thread, row by row,
 //              full feature width per neighbor). This is the semantic
@@ -35,7 +38,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "tensor/tensor.hpp"
@@ -46,41 +48,11 @@ class ThreadPool;
 
 namespace gnav::kernels {
 
+/// Which of the two implementations a call runs: cpu-scalar passes
+/// kScalar, cpu-blocked kBlocked.
 enum class SpmmImpl {
   kScalar,
   kBlocked,
-};
-
-std::string to_string(SpmmImpl impl);
-/// Parses "scalar" / "blocked"; throws gnav::Error on anything else.
-SpmmImpl spmm_impl_from_string(const std::string& name);
-
-/// Implementation the calling thread currently resolves to: the innermost
-/// active SpmmImplScope on this thread, else kBlocked.
-///
-/// There is deliberately NO process-wide default slot behind this (the
-/// old set_default_spmm_impl() is gone): implementation selection flows
-/// through the compute::ComputeBackend layer, which pins the choice per
-/// run — and per stage thread — so no concurrent job can bypass another's
-/// pin by flipping a global. Backend-level selection lives in
-/// compute::BackendFactory; this thread-local remains as the low-level
-/// kernel A/B mechanism used by the backends themselves and the kernel
-/// tests.
-SpmmImpl current_spmm_impl();
-
-/// RAII thread-local override, used by the runtime backend (RunOptions)
-/// and the A/B benchmarks. Thread-local so concurrent backend runs on
-/// pool workers cannot race each other's selection.
-class SpmmImplScope {
- public:
-  explicit SpmmImplScope(SpmmImpl impl);
-  ~SpmmImplScope();
-  SpmmImplScope(const SpmmImplScope&) = delete;
-  SpmmImplScope& operator=(const SpmmImplScope&) = delete;
-
- private:
-  SpmmImpl prev_;
-  bool prev_active_;
 };
 
 /// SIMD tier of the blocked implementation. kAuto resolves to the widest
@@ -106,20 +78,6 @@ SpmmSimdTier spmm_simd_tier();
 /// host; all tiers produce identical bits anyway).
 std::string active_spmm_isa();
 
-/// Reusable blocked-execution plan for one graph: the edge-balanced row
-/// partition (chunk c covers rows [bounds[c], bounds[c+1])) plus the
-/// heavy-first chunk schedule. A pure function of the graph — never of
-/// the thread count or feature dim — so a cached plan is bit-identical
-/// to a freshly built one and can be shared across calls and threads.
-/// The batched compute backends cache plans per graph uid to amortize
-/// the O(V) build across repeated SpMMs on the same graph.
-struct SpmmPlan {
-  std::vector<graph::NodeId> bounds;
-  std::vector<std::size_t> order;
-};
-
-SpmmPlan make_spmm_plan(const graph::CsrGraph& g);
-
 /// Optional per-vertex scale vectors (length num_nodes each, or null):
 ///   src_scale  — weight applied to each gathered neighbor row,
 ///   dst_scale  — post-sum scale of the output row,
@@ -133,17 +91,8 @@ struct SpmmScales {
 /// Y = weighted-SpMM(g, X). `y` must have X's shape and is overwritten;
 /// it must not alias `x`. `pool` is used only by kBlocked (null selects
 /// the global pool; inside a pool worker the kernel runs inline).
-/// `plan`, when non-null, must be make_spmm_plan(g) for this exact graph
-/// (kBlocked only; kScalar ignores it) — passing a cached plan skips the
-/// per-call partition build without changing a single output bit.
 void spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
           tensor::Tensor& y, const SpmmScales& scales, SpmmImpl impl,
-          support::ThreadPool* pool = nullptr,
-          const SpmmPlan* plan = nullptr);
-
-/// Allocating convenience using current_spmm_impl().
-tensor::Tensor spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
-                    const SpmmScales& scales,
-                    support::ThreadPool* pool = nullptr);
+          support::ThreadPool* pool = nullptr);
 
 }  // namespace gnav::kernels

@@ -1,10 +1,9 @@
 // Sparse neighborhood aggregation (the Aggregate of Eq. 1), expressed on
 // top of the gnav::compute backend layer (compute/backend.hpp). Which
-// backend executes — the scalar reference, the blocked cache-tiled CPU
-// kernel, or the plan-caching hugepage-arena backend — is resolved per
-// call from compute::current_backend(); every built-in CPU backend
-// produces bit-identical results, so the choice is purely a throughput
-// knob.
+// backend executes — the scalar reference or the blocked cache-tiled CPU
+// kernel — is resolved per call from compute::current_backend(); both
+// built-in CPU backends produce bit-identical results, so the choice is
+// purely a throughput knob.
 //
 // All kernels assume the mini-batch graph has a *symmetric* edge set —
 // samplers in this library always emit symmetrized subgraphs — which makes

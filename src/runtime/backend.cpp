@@ -193,11 +193,6 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
   // come out of the backend-owned slab, not the host tensor.
   const std::size_t row_floats = static_cast<std::size_t>(ds.feature_dim);
   if (row_floats > 0) {
-    const compute::BackendCapabilities caps = run_backend->capabilities();
-    GNAV_CHECK(caps.max_feature_dim == 0 || row_floats <= caps.max_feature_dim,
-               "backend \"" + run_backend->id() + "\" supports at most " +
-                   std::to_string(caps.max_feature_dim) +
-                   " feature floats per row");
     device_cache.attach_storage(run_backend->allocator(), row_floats);
     if (device_cache.has_storage()) {
       // One lock for the whole preload sweep: resident_row is a

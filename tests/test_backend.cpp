@@ -2,7 +2,8 @@
 // (compute/backend.hpp):
 //
 //   - factory: built-in registration, unknown-id diagnostics, singleton
-//     instances, default-id precedence, custom registration;
+//     instances, default-id precedence (env and override), custom
+//     registration;
 //   - capabilities: DECLARED flags are static and host-independent,
 //     instance flags resolve the host's SIMD dispatch;
 //   - SpMM/aggregate conformance: every registered backend reproduces the
@@ -12,13 +13,15 @@
 //   - BackendScope: thread-local nesting and restoration;
 //   - DeviceAllocator accounting and DeviceCache device storage (slots,
 //     admission order, static preload);
-//   - end-to-end: cpu-blocked and cpu-arena produce bit-identical
+//   - end-to-end: cpu-blocked and cpu-scalar produce bit-identical
 //     TrainReports at pool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/device_cache.hpp"
@@ -49,10 +52,8 @@ bool bit_identical(const Tensor& a, const Tensor& b) {
 TEST(BackendFactory, BuiltInsAreRegisteredInOrder) {
   const std::vector<std::string> ids =
       compute::BackendFactory::registered_ids();
-  ASSERT_GE(ids.size(), 3u);
-  EXPECT_EQ(ids[0], compute::kScalarBackendId);
-  EXPECT_EQ(ids[1], compute::kBlockedBackendId);
-  EXPECT_EQ(ids[2], compute::kArenaBackendId);
+  EXPECT_EQ(ids, (std::vector<std::string>{compute::kScalarBackendId,
+                                           compute::kBlockedBackendId}));
   for (const std::string& id : ids) {
     EXPECT_TRUE(compute::BackendFactory::is_registered(id));
     EXPECT_EQ(compute::BackendFactory::create(id)->id(), id);
@@ -73,11 +74,33 @@ TEST(BackendFactory, UnknownIdThrowsListingRegisteredIds) {
 }
 
 TEST(BackendFactory, InstancesAreProcessWideSingletons) {
-  const auto a = compute::BackendFactory::create(compute::kArenaBackendId);
-  const auto b = compute::BackendFactory::create(compute::kArenaBackendId);
+  const auto a = compute::BackendFactory::create(compute::kBlockedBackendId);
+  const auto b = compute::BackendFactory::create(compute::kBlockedBackendId);
   EXPECT_EQ(a.get(), b.get());
   // One allocator owner per backend regardless of how many runs share it.
   EXPECT_EQ(&a->allocator(), &b->allocator());
+}
+
+// Defined before DefaultIdOverrideValidatesAndRestores: the override it
+// leaves behind would mask GNAV_BACKEND when the whole binary runs in one
+// process.
+TEST(BackendFactory, RemovedBackendIdInEnvFallsBackToBlocked) {
+  const char* saved = std::getenv("GNAV_BACKEND");
+  const std::string previous = saved != nullptr ? saved : "";
+  // A registered id in the environment selects that backend...
+  ASSERT_EQ(::setenv("GNAV_BACKEND", compute::kScalarBackendId, 1), 0);
+  EXPECT_EQ(compute::BackendFactory::default_id(), compute::kScalarBackendId);
+  // ...and an id this build no longer registers (an old deployment's
+  // GNAV_BACKEND=cpu-arena) warns and falls back to cpu-blocked.
+  ASSERT_EQ(::setenv("GNAV_BACKEND", "cpu-arena", 1), 0);
+  EXPECT_FALSE(compute::BackendFactory::is_registered("cpu-arena"));
+  EXPECT_EQ(compute::BackendFactory::default_id(),
+            compute::kBlockedBackendId);
+  if (saved != nullptr) {
+    ::setenv("GNAV_BACKEND", previous.c_str(), 1);
+  } else {
+    ::unsetenv("GNAV_BACKEND");
+  }
 }
 
 TEST(BackendFactory, DefaultIdOverrideValidatesAndRestores) {
@@ -101,23 +124,13 @@ TEST(BackendCapabilities, DeclaredFlagsAreStaticPerId) {
       compute::kScalarBackendId);
   EXPECT_EQ(scalar.simd_tier, "portable");
   EXPECT_DOUBLE_EQ(scalar.relative_throughput, 1.0);
-  EXPECT_EQ(scalar.max_feature_dim, 0u);
   EXPECT_FALSE(scalar.supports_async_transfer);
-  EXPECT_FALSE(scalar.hugepage_arena);
 
   const auto blocked = compute::BackendFactory::declared_capabilities(
       compute::kBlockedBackendId);
   EXPECT_EQ(blocked.simd_tier, "auto");
   EXPECT_GT(blocked.relative_throughput, 1.0);
   EXPECT_TRUE(blocked.supports_async_transfer);
-  EXPECT_FALSE(blocked.hugepage_arena);
-
-  const auto arena = compute::BackendFactory::declared_capabilities(
-      compute::kArenaBackendId);
-  EXPECT_TRUE(arena.supports_async_transfer);
-  EXPECT_TRUE(arena.hugepage_arena);
-  EXPECT_EQ(arena.max_feature_dim, 4096u);
-  EXPECT_GE(arena.relative_throughput, blocked.relative_throughput);
 
   // Unknown ids featurize as neutral defaults (corpus files may carry
   // ids this build does not register) — never a throw.
@@ -148,8 +161,8 @@ TEST(BackendScope, NestsAndRestoresPerThread) {
     compute::BackendScope outer(compute::kScalarBackendId);
     EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
     {
-      compute::BackendScope inner(compute::kArenaBackendId);
-      EXPECT_EQ(compute::current_backend_id(), compute::kArenaBackendId);
+      compute::BackendScope inner(compute::kBlockedBackendId);
+      EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
     }
     EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
   }
@@ -221,32 +234,6 @@ TEST(BackendConformance, EveryBackendMatchesScalarReferenceBitwise) {
           }
         }
       }
-    }
-  }
-}
-
-TEST(BackendConformance, ArenaPlanCacheSurvivesRepeatsAndGraphChurn) {
-  // The arena backend caches one SpmmPlan per CsrGraph::uid(); repeated
-  // SpMMs on one graph and interleaved SpMMs across many graphs (enough
-  // to force FIFO eviction) must all stay bit-identical to the scalar
-  // reference.
-  const auto arena = compute::BackendFactory::create(compute::kArenaBackendId);
-  std::vector<graph::CsrGraph> graphs;
-  for (int i = 0; i < 20; ++i) {
-    Rng rng(100 + static_cast<std::uint64_t>(i));
-    graphs.push_back(graph::erdos_renyi(60, 0.1, rng));
-  }
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& g : graphs) {
-      const auto n = static_cast<std::size_t>(g.num_nodes());
-      Rng rng(7);
-      const Tensor x = Tensor::uniform(n, 9, -1, 1, rng);
-      Tensor y_ref(n, 9);
-      kernels::spmm(g, x, y_ref, kernels::SpmmScales{},
-                    kernels::SpmmImpl::kScalar);
-      Tensor y(n, 9);
-      arena->spmm(g, x, y, kernels::SpmmScales{});
-      EXPECT_TRUE(bit_identical(y_ref, y)) << "round=" << round;
     }
   }
 }
@@ -377,8 +364,8 @@ TEST(BackendRegistration, CreatorMayReenterFactoryWithoutDeadlock) {
 // ------------------------------------------------- allocator accounting
 
 TEST(DeviceAllocator, TracksInUseAndPeakBytes) {
-  for (const std::string& id : {std::string(compute::kBlockedBackendId),
-                                std::string(compute::kArenaBackendId)}) {
+  for (const std::string& id : {std::string(compute::kScalarBackendId),
+                                std::string(compute::kBlockedBackendId)}) {
     SCOPED_TRACE(id);
     compute::DeviceAllocator& alloc =
         compute::BackendFactory::create(id)->allocator();
@@ -466,7 +453,8 @@ TEST(DeviceCacheStorage, StaticPolicyAssignsSlotsAtAttach) {
   cache::DeviceCache cache(cache::CachePolicy::kStatic, 6, g);
   ASSERT_EQ(cache.resident_count(), 6u);
   compute::DeviceAllocator& alloc =
-      compute::BackendFactory::create(compute::kArenaBackendId)->allocator();
+      compute::BackendFactory::create(compute::kBlockedBackendId)
+          ->allocator();
   cache.attach_storage(alloc, 4);
   std::size_t with_slots = 0;
   {
@@ -481,18 +469,22 @@ TEST(DeviceCacheStorage, StaticPolicyAssignsSlotsAtAttach) {
     }
   }
   EXPECT_EQ(with_slots, 6u);
-  // residency_version is a value snapshot, not a live reference: holding
-  // the returned value across an update must NOT track the change (the
-  // aliasing bug this PR fixes).
-  const std::uint64_t snapshot = cache.residency_version();
-  cache.lookup_and_update({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  EXPECT_EQ(snapshot, snapshot);  // trivially true — the point is the type
-  EXPECT_GE(cache.residency_version(), snapshot);
+
+  // residency_version is a value snapshot, not a live reference into the
+  // cache: a held snapshot must not follow later residency changes.
+  static_assert(std::is_same_v<decltype(cache.residency_version()),
+                               std::uint64_t>,
+                "residency_version() must return by value");
+  cache::DeviceCache lru(cache::CachePolicy::kLru, 4, g);
+  const std::uint64_t snapshot = lru.residency_version();
+  lru.lookup_and_update({0, 1, 2, 3});
+  ASSERT_EQ(lru.resident_count(), 4u);  // the lookup changed residency
+  EXPECT_LT(snapshot, lru.residency_version());
 }
 
 // -------------------------------------------------- end-to-end equality
 
-TEST(BackendEndToEnd, BlockedAndArenaReportsBitIdenticalAtPools128) {
+TEST(BackendEndToEnd, BlockedAndScalarReportsBitIdenticalAtPools128) {
   graph::SyntheticSpec spec;
   spec.name = "backend-e2e";
   spec.num_nodes = 500;
@@ -508,8 +500,7 @@ TEST(BackendEndToEnd, BlockedAndArenaReportsBitIdenticalAtPools128) {
   std::vector<runtime::TrainReport> reports;
   const auto run_every_backend = [&] {
     for (const char* id :
-         {compute::kBlockedBackendId, compute::kArenaBackendId,
-          compute::kScalarBackendId}) {
+         {compute::kBlockedBackendId, compute::kScalarBackendId}) {
       runtime::RunOptions ro;
       ro.epochs = 2;
       ro.seed = 33;

@@ -366,6 +366,18 @@ TEST_F(EstimatorFixture, V2CorpusMigratesWithDefaultBackendAndV3RoundTrips) {
     EXPECT_EQ(reloaded[i].report.backend_id,
               i % 2 == 1 ? "cpu-arena" : "cpu-blocked");
   }
+  // Part 3 — rows naming an id this build no longer registers (cpu-arena
+  // was removed) featurize with neutral declared capabilities: the
+  // corpus still fits, and predictions for either id stay finite.
+  PerfEstimator est(*hw_);
+  ASSERT_NO_THROW(est.fit(reloaded));
+  for (const ProfiledRun& run : reloaded) {
+    const PerfPrediction p =
+        est.predict(run.config, run.stats, run.report.backend_id);
+    EXPECT_TRUE(std::isfinite(p.time_s)) << run.report.backend_id;
+    EXPECT_TRUE(std::isfinite(p.memory_gb)) << run.report.backend_id;
+    EXPECT_TRUE(std::isfinite(p.accuracy)) << run.report.backend_id;
+  }
   std::remove(v3_path.c_str());
   std::remove(v2_path.c_str());
 }

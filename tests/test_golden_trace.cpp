@@ -47,12 +47,11 @@ struct GoldenCase {
   double predicted_memory_gb;
   double predicted_accuracy;
   double final_epoch_loss;    // train(config, 2 epochs, seed 1)
-  /// Compute backend the whole trace executes under (filled by
-  /// golden_cases(), not the table): goldens are keyed by backend id.
-  /// The built-in CPU backends share one golden block because their
-  /// bit-identity contract makes them interchangeable to the last bit —
-  /// a future backend with a different accumulation order gets its own
-  /// rows here, not a tolerance.
+  /// Compute backend the whole trace executes under: goldens are keyed
+  /// by backend id. cpu-blocked is the production backend (cpu-scalar
+  /// declares different capabilities, so the DSE decides differently on
+  /// it); a future backend with a different accumulation order gets its
+  /// own rows here, not a tolerance.
   const char* backend = compute::kBlockedBackendId;
 };
 
@@ -76,24 +75,6 @@ const GoldenCase kGolden[] = {
      0.60345994773033074, 0.67563103608602271, 0.65761915855138842,
      1.4746742189646083},
 };
-
-/// The golden table × the production CPU backends. Every backend must
-/// hit the SAME numbers — the per-backend bit-identity contract plus the
-/// shared kernel accumulation order make the golden values backend-
-/// invariant for the built-in ids (test_backend.cpp pins the pairwise
-/// equality; this pins the absolute values per id end to end).
-std::vector<GoldenCase> golden_cases() {
-  std::vector<GoldenCase> out;
-  for (const GoldenCase& base : kGolden) {
-    for (const char* id :
-         {compute::kBlockedBackendId, compute::kArenaBackendId}) {
-      GoldenCase c = base;
-      c.backend = id;
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 struct TraceResult {
   std::string config_text;
@@ -160,11 +141,7 @@ TEST_P(GoldenTrace, PipelineMatchesCheckedInGolden) {
   const GoldenCase& c = GetParam();
   const TraceResult r = run_trace(c);
   if (std::getenv("GNAV_REGEN_GOLDEN") != nullptr) {
-    // One paste block per dataset: the backend-crossed cases share their
-    // golden values, so only the cpu-blocked instance prints.
-    if (std::string(c.backend) == compute::kBlockedBackendId) {
-      print_regen_block(c, r);
-    }
+    print_regen_block(c, r);
     GTEST_SKIP() << "GNAV_REGEN_GOLDEN set: printed fresh goldens for "
                  << c.dataset << " instead of asserting";
   }
@@ -188,7 +165,7 @@ TEST_P(GoldenTrace, PipelineMatchesCheckedInGolden) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, GoldenTrace,
-                         ::testing::ValuesIn(golden_cases()),
+                         ::testing::ValuesIn(kGolden),
                          [](const auto& info) {
                            std::string name = info.param.dataset;
                            name += "_";

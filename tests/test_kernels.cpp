@@ -238,25 +238,5 @@ TEST(SpmmKernels, RejectsBadShapesAndAliasing) {
   EXPECT_THROW(kernels::spmm(g, x, x, SpmmScales{}, SpmmImpl::kScalar), Error);
 }
 
-TEST(SpmmKernels, ImplSelectionRoundTripsAndScopesNest) {
-  EXPECT_EQ(kernels::to_string(SpmmImpl::kScalar), "scalar");
-  EXPECT_EQ(kernels::to_string(SpmmImpl::kBlocked), "blocked");
-  EXPECT_EQ(kernels::spmm_impl_from_string("scalar"), SpmmImpl::kScalar);
-  EXPECT_EQ(kernels::spmm_impl_from_string("blocked"), SpmmImpl::kBlocked);
-  EXPECT_THROW(kernels::spmm_impl_from_string("simd"), Error);
-
-  const SpmmImpl before = kernels::current_spmm_impl();
-  {
-    kernels::SpmmImplScope outer(SpmmImpl::kScalar);
-    EXPECT_EQ(kernels::current_spmm_impl(), SpmmImpl::kScalar);
-    {
-      kernels::SpmmImplScope inner(SpmmImpl::kBlocked);
-      EXPECT_EQ(kernels::current_spmm_impl(), SpmmImpl::kBlocked);
-    }
-    EXPECT_EQ(kernels::current_spmm_impl(), SpmmImpl::kScalar);
-  }
-  EXPECT_EQ(kernels::current_spmm_impl(), before);
-}
-
 }  // namespace
 }  // namespace gnav

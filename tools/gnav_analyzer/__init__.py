@@ -7,8 +7,8 @@ and determinism contracts as named checks. Each check encodes a bug
 class a past PR fixed by hand:
 
   tls-scope-pinning      fresh std::thread bodies that reach kernel code
-                         must pin a BackendScope/SpmmImplScope first
-                         (TLS does not inherit across threads).
+                         must pin a BackendScope first (TLS does not
+                         inherit across threads).
   guarded-ref-escape     public methods of capability classes must not
                          return references/pointers into GNAV_GUARDED_BY
                          fields (AST successor to the regex rule).
@@ -40,7 +40,7 @@ __version__ = "1.0.0"
 CHECK_DESCRIPTIONS = {
     "tls-scope-pinning": (
         "std::thread body reaches kernel code without constructing a "
-        "BackendScope/SpmmImplScope first; fresh threads inherit no "
+        "BackendScope first; fresh threads inherit no "
         "thread-local backend selection."
     ),
     "guarded-ref-escape": (

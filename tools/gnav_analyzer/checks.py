@@ -26,7 +26,7 @@ _UNORDERED = (
     "unordered_multimap",
     "unordered_multiset",
 )
-_SCOPE_TYPES = ("BackendScope", "SpmmImplScope")
+_SCOPE_TYPES = ("BackendScope",)
 _LOCK_TYPES = ("support::MutexLock", "support::UniqueLock")
 
 
@@ -302,9 +302,9 @@ def _is_kernel_call(cx, call) -> bool:
 
 def check_tls_scope_pinning(ctx):
     """std::thread bodies reaching kernel code (directly or through
-    functions defined in the same TU) must construct a BackendScope /
-    SpmmImplScope before the first reaching call — thread-locals do not
-    cross thread creation.
+    functions defined in the same TU) must construct a BackendScope, the
+    one thread-local selection pin, before the first reaching call —
+    thread-locals do not cross thread creation.
     """
     cx = cindex()
 
@@ -419,7 +419,7 @@ def check_tls_scope_pinning(ctx):
                 "tls-scope-pinning",
                 first_reach[1],
                 f"std::thread body {first_reach[2]} without first "
-                "constructing a BackendScope/SpmmImplScope — fresh "
+                "constructing a BackendScope — fresh "
                 "threads inherit no thread-local backend selection",
             )
 

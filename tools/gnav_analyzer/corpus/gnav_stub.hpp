@@ -117,10 +117,6 @@ class ThreadPool {
 }  // namespace support
 
 namespace kernels {
-struct SpmmImplScope {
-  explicit SpmmImplScope(int impl);
-  ~SpmmImplScope();
-};
 void spmm(const float* x, float* y, std::size_t n);
 }  // namespace kernels
 

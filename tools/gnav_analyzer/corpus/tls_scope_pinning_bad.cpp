@@ -1,7 +1,6 @@
-// Known-bad: std::thread bodies reach kernel code with no
-// BackendScope/SpmmImplScope pinned first — fresh threads inherit no
-// thread-local backend selection, so these silently compute on the
-// factory default.
+// Known-bad: std::thread bodies reach kernel code with no BackendScope
+// pinned first — fresh threads inherit no thread-local backend
+// selection, so these silently compute on the factory default.
 #include "gnav_stub.hpp"
 
 namespace {

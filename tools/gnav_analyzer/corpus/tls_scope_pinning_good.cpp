@@ -1,4 +1,4 @@
-// Known-good: every kernel-reaching thread body pins a TLS scope
+// Known-good: every kernel-reaching thread body pins a BackendScope
 // before the first reaching call (the stage-closure pattern in
 // runtime/backend.cpp), and threads that never touch kernel code need
 // no scope at all.
@@ -16,9 +16,9 @@ void pinned_backend(const float* x, float* y) {
   worker.join();
 }
 
-void pinned_spmm_impl(const float* x, float* y) {
+void pinned_transitive(const float* x, float* y) {
   std::thread worker([x, y] {
-    gnav::kernels::SpmmImplScope impl(0);
+    gnav::compute::BackendScope scope("cpu-blocked");
     churn(x, y);
   });
   worker.join();
