@@ -147,19 +147,39 @@ void BM_AggregateGcn(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateGcn);
 
+/// args: variant (0 = matmul, 1 = matmul_at_b, 2 = matmul_a_bt) and layer
+/// (0 = 32 -> 64, 1 = 64 -> 12) at a train-products-async batch of 7301
+/// rows: the forward product, the weight gradient and the input gradient
+/// one layer makes. The 64-wide input of layer 1 is a ReLU + dropout
+/// activation, about 60% exact zeros.
 void BM_Matmul(benchmark::State& state) {
+  constexpr std::size_t kRows = 7301;
+  const int variant = static_cast<int>(state.range(0));
+  const bool hidden = state.range(1) == 1;
+  const std::size_t in = hidden ? 64 : 32;
+  const std::size_t out = hidden ? 12 : 64;
   Rng rng(6);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = tensor::Tensor::uniform(n, 64, -1, 1, rng);
-  const auto b = tensor::Tensor::uniform(64, 64, -1, 1, rng);
+  auto x = tensor::Tensor::uniform(kRows, in, -1, 1, rng);
+  if (hidden) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (rng.uniform() < 0.6) x.data()[i] = 0.0f;
+    }
+  }
+  const auto w = tensor::Tensor::uniform(in, out, -1, 1, rng);
+  const auto grad = tensor::Tensor::uniform(kRows, out, -1, 1, rng);
   for (auto _ : state) {
-    auto c = tensor::matmul(a, b);
+    const tensor::Tensor c = variant == 0   ? tensor::matmul(x, w)
+                             : variant == 1 ? tensor::matmul_at_b(x, grad)
+                                            : tensor::matmul_a_bt(grad, w);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n) * 64 *
-                          64 * 2);
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kRows * in *
+                                                                 out * 2));
 }
-BENCHMARK(BM_Matmul)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_Matmul)
+    ->ArgNames({"variant", "layer"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CacheLookup(benchmark::State& state) {
   const auto& g = bench_graph();

@@ -9,6 +9,7 @@
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/simd.hpp"
 #include "support/thread_safety.hpp"
 
 namespace gnav::compute {
@@ -158,7 +159,7 @@ class CpuKernelBackend : public ComputeBackend {
   BackendCapabilities capabilities() const override {
     BackendCapabilities caps = declared_;
     if (impl_ != kernels::SpmmImpl::kScalar) {
-      caps.simd_tier = kernels::active_spmm_isa();
+      caps.simd_tier = support::active_simd_isa();
     }
     return caps;
   }

@@ -1,17 +1,14 @@
 #include "kernels/spmm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/simd.hpp"
 
-// x86-64 only: the SSE tier relies on SSE2 being baseline, which does
-// not hold for 32-bit x86.
-#if defined(__x86_64__)
-#define GNAV_SPMM_X86 1
+#if defined(GNAV_SIMD_X86)
 #include <immintrin.h>
 #endif
 
@@ -20,6 +17,7 @@ namespace {
 
 using graph::EdgeId;
 using graph::NodeId;
+using support::SimdIsa;
 
 /// Widest portable feature tile (floats) for the no-SIMD fallback path.
 constexpr std::size_t kPortableTile = 16;
@@ -120,7 +118,7 @@ void row_pass_portable(const NodeId* indices, const float* xd, float* yd,
   for (std::size_t t = 0; t < width; ++t) yv[t] = acc[t];
 }
 
-#if defined(GNAV_SPMM_X86)
+#if defined(GNAV_SIMD_X86)
 
 /// AVX2 pass over [j0, j0 + 8*NV): NV ymm accumulators held in registers
 /// across the whole neighbor loop. mul and add stay separate intrinsics —
@@ -212,41 +210,19 @@ void row_pass_sse(const NodeId* indices, const float* xd, float* yd,
   for (int t = 0; t < NV; ++t) _mm_storeu_ps(yv + 4 * t, acc[t]);
 }
 
-bool cpu_has_avx2() {
-#if defined(__GNUC__) || defined(__clang__)
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-#else
-  return false;
-#endif
-}
+#endif  // GNAV_SIMD_X86
 
-#endif  // GNAV_SPMM_X86
-
-/// Widest single-pass tile the active ISA path covers; feature dims at or
-/// below it never re-scan a neighbor list.
-std::atomic<SpmmSimdTier> g_simd_tier{SpmmSimdTier::kAuto};
-
-bool use_avx2_tier() {
-#if defined(GNAV_SPMM_X86)
-  return g_simd_tier.load(std::memory_order_relaxed) == SpmmSimdTier::kAuto &&
-         cpu_has_avx2();
-#else
-  return false;
-#endif
-}
-
-bool use_sse_tier() {
-#if defined(GNAV_SPMM_X86)
-  return g_simd_tier.load(std::memory_order_relaxed) != SpmmSimdTier::kPortable;
-#else
-  return false;
-#endif
-}
-
-std::size_t single_pass_cols() {
-  if (use_avx2_tier()) return 64;
-  if (use_sse_tier()) return 32;
+/// Widest single-pass tile the ISA path covers; feature dims at or below
+/// it never re-scan a neighbor list.
+std::size_t single_pass_cols(SimdIsa isa) {
+  switch (isa) {
+    case SimdIsa::kAvx2:
+      return 64;
+    case SimdIsa::kSse2:
+      return 32;
+    case SimdIsa::kPortable:
+      break;
+  }
   return kPortableTile;
 }
 
@@ -255,13 +231,13 @@ std::size_t single_pass_cols() {
 template <bool HasSrc>
 void blocked_row_register_tiled(const EdgeId* indptr, const NodeId* indices,
                                 const float* xd, float* yd, std::size_t cols,
-                                const SpmmScales& sc, NodeId v) {
+                                const SpmmScales& sc, NodeId v, SimdIsa isa) {
   const auto vz = static_cast<std::size_t>(v);
   const EdgeId begin = indptr[vz];
   const EdgeId end = indptr[vz + 1];
   std::size_t j0 = 0;
-#if defined(GNAV_SPMM_X86)
-  if (use_avx2_tier()) {
+#if defined(GNAV_SIMD_X86)
+  if (isa == SimdIsa::kAvx2) {
     for (; j0 + 64 <= cols; j0 += 64) {
       row_pass_avx2<8, HasSrc>(indices, xd, yd, cols, sc, vz, begin, end, j0);
     }
@@ -271,7 +247,7 @@ void blocked_row_register_tiled(const EdgeId* indptr, const NodeId* indices,
     for (; j0 + 8 <= cols; j0 += 8) {
       row_pass_avx2<1, HasSrc>(indices, xd, yd, cols, sc, vz, begin, end, j0);
     }
-  } else if (use_sse_tier()) {
+  } else if (isa == SimdIsa::kSse2) {
     for (; j0 + 32 <= cols; j0 += 32) {
       row_pass_sse<8, HasSrc>(indices, xd, yd, cols, sc, vz, begin, end, j0);
     }
@@ -282,6 +258,8 @@ void blocked_row_register_tiled(const EdgeId* indptr, const NodeId* indices,
       row_pass_sse<1, HasSrc>(indices, xd, yd, cols, sc, vz, begin, end, j0);
     }
   }
+#else
+  (void)isa;
 #endif
   for (; j0 < cols; j0 += kPortableTile) {
     const std::size_t width = std::min(kPortableTile, cols - j0);
@@ -376,8 +354,8 @@ template <bool HasSrc>
 void blocked_chunk(const EdgeId* indptr, const NodeId* indices,
                    const float* xd, float* yd, std::size_t cols,
                    const SpmmScales& sc, NodeId r0, NodeId r1,
-                   float* scratch) {
-  const bool multi_tile = cols > single_pass_cols();
+                   float* scratch, SimdIsa isa) {
+  const bool multi_tile = cols > single_pass_cols(isa);
   const auto degree_cutoff = static_cast<EdgeId>(
       std::max<std::size_t>(1, kRegisterPathBytes / (cols * sizeof(float))));
   for (NodeId v = r0; v < r1; ++v) {
@@ -388,7 +366,7 @@ void blocked_chunk(const EdgeId* indptr, const NodeId* indices,
                                     scratch);
     } else {
       blocked_row_register_tiled<HasSrc>(indptr, indices, xd, yd, cols, sc,
-                                         v);
+                                         v, isa);
     }
   }
 }
@@ -403,6 +381,8 @@ void spmm_blocked(const graph::CsrGraph& g, const tensor::Tensor& x,
   const std::size_t cols = x.cols();
   const float* xd = x.data();
   float* yd = y.data();
+  // Resolved once, so every row of the call runs the same ISA path.
+  const SimdIsa isa = support::simd_isa();
 
   const Partition part = make_partition(g);
   support::ThreadPool& exec = pool != nullptr ? *pool : support::global_pool();
@@ -415,29 +395,15 @@ void spmm_blocked(const graph::CsrGraph& g, const tensor::Tensor& x,
     std::vector<float> scratch(cols);
     if (sc.src_scale != nullptr) {
       blocked_chunk<true>(indptr, indices, xd, yd, cols, sc, r0, r1,
-                          scratch.data());
+                          scratch.data(), isa);
     } else {
       blocked_chunk<false>(indptr, indices, xd, yd, cols, sc, r0, r1,
-                           scratch.data());
+                           scratch.data(), isa);
     }
   });
 }
 
 }  // namespace
-
-void set_spmm_simd_tier(SpmmSimdTier tier) {
-  g_simd_tier.store(tier, std::memory_order_relaxed);
-}
-
-SpmmSimdTier spmm_simd_tier() {
-  return g_simd_tier.load(std::memory_order_relaxed);
-}
-
-std::string active_spmm_isa() {
-  if (use_avx2_tier()) return "avx2";
-  if (use_sse_tier()) return "sse2";
-  return "portable";
-}
 
 void spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
           tensor::Tensor& y, const SpmmScales& scales, SpmmImpl impl,

@@ -19,8 +19,9 @@
 //              output row accumulates in SIMD registers over 64/32-float
 //              tiles and is written once per tile, instead of being
 //              read-modify-written per edge), runtime ISA dispatch
-//              (AVX2 → SSE2 → portable), degree binning that routes hub
-//              rows through a single-pass streaming accumulator when the
+//              (AVX2 → SSE2 → portable, capped by support/simd.hpp's
+//              process-wide tier), degree binning that routes hub rows
+//              through a single-pass streaming accumulator when the
 //              feature dim needs multiple tiles, and an edge-balanced
 //              fixed row partition executed on the thread pool with heavy
 //              partitions scheduled first so power-law hub rows cannot
@@ -37,7 +38,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "graph/csr_graph.hpp"
 #include "tensor/tensor.hpp"
@@ -54,29 +54,6 @@ enum class SpmmImpl {
   kScalar,
   kBlocked,
 };
-
-/// SIMD tier of the blocked implementation. kAuto resolves to the widest
-/// ISA the CPU supports (AVX2 on most x86-64, SSE2 otherwise, portable
-/// C++ elsewhere). The lower tiers exist so tests can prove every code
-/// path bit-identical on whatever machine they run on — all tiers
-/// produce identical bits by construction.
-enum class SpmmSimdTier {
-  kPortable,
-  kSse,
-  kAuto,
-};
-
-/// Process-wide cap on the blocked kernel's SIMD tier (testing and
-/// diagnostics; kAuto is the production default). Tiers above what the
-/// CPU supports clamp down.
-void set_spmm_simd_tier(SpmmSimdTier tier);
-SpmmSimdTier spmm_simd_tier();
-
-/// ISA the blocked kernel actually dispatches to on this host under the
-/// current tier cap: "avx2" | "sse2" | "portable". Diagnostics only —
-/// never feed it into estimator features or golden traces (it varies by
-/// host; all tiers produce identical bits anyway).
-std::string active_spmm_isa();
 
 /// Optional per-vertex scale vectors (length num_nodes each, or null):
 ///   src_scale  — weight applied to each gathered neighbor row,

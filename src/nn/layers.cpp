@@ -29,7 +29,7 @@ Tensor GcnConv::forward(const graph::CsrGraph& g, const Tensor& x) {
   return h;
 }
 
-Tensor GcnConv::backward(const Tensor& grad_out) {
+Tensor GcnConv::backward(const Tensor& grad_out, bool input_grad) {
   GNAV_CHECK(cached_graph_ != nullptr, "backward before forward");
   // H = P (X W) + b with P self-adjoint => dZ = P dH, reusing the cached
   // normalization vector from the forward pass.
@@ -37,6 +37,7 @@ Tensor GcnConv::backward(const Tensor& grad_out) {
   Tensor dz = compute::current_backend().spmm(
       *cached_graph_, grad_out, gcn_spmm_scales(cached_norm_.data()));
   tensor::add_inplace(weight_.grad, tensor::matmul_at_b(cached_x_, dz));
+  if (!input_grad) return {};
   return tensor::matmul_a_bt(dz, weight_.value);
 }
 
@@ -71,16 +72,16 @@ Tensor SageConv::forward(const graph::CsrGraph& g, const Tensor& x) {
   return h;
 }
 
-Tensor SageConv::backward(const Tensor& grad_out) {
+Tensor SageConv::backward(const Tensor& grad_out, bool input_grad) {
   GNAV_CHECK(cached_graph_ != nullptr, "backward before forward");
   tensor::add_inplace(bias_.grad, tensor::column_sum(grad_out));
-  // Self path.
+  // Self path, then the neighbor path H_n = mean(X) W_n.
   tensor::add_inplace(w_self_.grad,
                       tensor::matmul_at_b(cached_x_, grad_out));
-  Tensor dx = tensor::matmul_a_bt(grad_out, w_self_.value);
-  // Neighbor path: H_n = mean(X) W_n.
   tensor::add_inplace(w_neigh_.grad,
                       tensor::matmul_at_b(cached_mean_, grad_out));
+  if (!input_grad) return {};
+  Tensor dx = tensor::matmul_a_bt(grad_out, w_self_.value);
   Tensor dmean = tensor::matmul_a_bt(grad_out, w_neigh_.value);
   tensor::add_inplace(
       dx, compute::current_backend().spmm(
@@ -182,7 +183,7 @@ Tensor GatConv::forward(const graph::CsrGraph& g, const Tensor& x) {
   return h;
 }
 
-Tensor GatConv::backward(const Tensor& grad_out) {
+Tensor GatConv::backward(const Tensor& grad_out, bool input_grad) {
   GNAV_CHECK(cached_graph_ != nullptr, "backward before forward");
   const graph::CsrGraph& g = *cached_graph_;
   const auto n = static_cast<std::size_t>(g.num_nodes());
@@ -241,6 +242,7 @@ Tensor GatConv::backward(const Tensor& grad_out) {
   }
 
   tensor::add_inplace(weight_.grad, tensor::matmul_at_b(cached_x_, dz));
+  if (!input_grad) return {};
   return tensor::matmul_a_bt(dz, weight_.value);
 }
 

@@ -26,8 +26,14 @@ class GraphConv {
   virtual tensor::Tensor forward(const graph::CsrGraph& g,
                                  const tensor::Tensor& x) = 0;
 
-  /// Given dL/dH, accumulates parameter grads and returns dL/dX.
-  virtual tensor::Tensor backward(const tensor::Tensor& grad_out) = 0;
+  /// Given dL/dH, accumulates parameter grads and returns dL/dX. With
+  /// `input_grad` false it returns an empty tensor instead and skips the
+  /// products only dL/dX needs (a model's first layer: nothing reads the
+  /// gradient of the input features). Parameter grads are bit-identical
+  /// either way. No default: a default argument on a virtual binds by the
+  /// static type of the call.
+  virtual tensor::Tensor backward(const tensor::Tensor& grad_out,
+                                  bool input_grad) = 0;
 
   virtual std::vector<Parameter*> parameters() = 0;
 
@@ -47,7 +53,8 @@ class GcnConv final : public GraphConv {
 
   tensor::Tensor forward(const graph::CsrGraph& g,
                          const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_out,
+                          bool input_grad) override;
   std::vector<Parameter*> parameters() override;
   std::size_t in_dim() const override { return weight_.value.rows(); }
   std::size_t out_dim() const override { return weight_.value.cols(); }
@@ -70,7 +77,8 @@ class SageConv final : public GraphConv {
 
   tensor::Tensor forward(const graph::CsrGraph& g,
                          const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_out,
+                          bool input_grad) override;
   std::vector<Parameter*> parameters() override;
   std::size_t in_dim() const override { return w_self_.value.rows(); }
   std::size_t out_dim() const override { return w_self_.value.cols(); }
@@ -99,7 +107,8 @@ class GatConv final : public GraphConv {
 
   tensor::Tensor forward(const graph::CsrGraph& g,
                          const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  tensor::Tensor backward(const tensor::Tensor& grad_out,
+                          bool input_grad) override;
   std::vector<Parameter*> parameters() override;
   std::size_t in_dim() const override { return weight_.value.rows(); }
   std::size_t out_dim() const override { return weight_.value.cols(); }

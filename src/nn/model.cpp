@@ -80,7 +80,8 @@ tensor::Tensor GnnModel::forward(const graph::CsrGraph& g,
 void GnnModel::backward(const tensor::Tensor& grad_logits) {
   tensor::Tensor g = grad_logits;
   for (std::size_t l = convs_.size(); l-- > 0;) {
-    g = convs_[l]->backward(g);
+    // Nothing reads the input features' gradient: layer 0 skips it.
+    g = convs_[l]->backward(g, l > 0);
     if (l > 0) {
       const tensor::Tensor& mask = dropout_masks_[l - 1];
       if (last_training_ && !mask.empty()) {

@@ -4,13 +4,21 @@
 #include <cmath>
 
 #include "support/error.hpp"
+#include "support/simd.hpp"
+
+#if defined(GNAV_SIMD_X86)
+#include <immintrin.h>
+#endif
 
 namespace gnav::tensor {
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  GNAV_CHECK(a.cols() == b.rows(),
-             "matmul shape mismatch " + a.shape_str() + " * " + b.shape_str());
-  Tensor c(a.rows(), b.cols());
+namespace {
+
+// ------------------------------------------------------------ reference --
+// The loops every tier below AVX2 runs, and the semantic ground truth of
+// the AVX2 paths. C arrives zero-filled.
+
+void matmul_portable(const Tensor& a, const Tensor& b, Tensor& c) {
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
@@ -24,14 +32,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
     }
   }
-  return c;
 }
 
-Tensor matmul_at_b(const Tensor& a, const Tensor& b) {
-  GNAV_CHECK(a.rows() == b.rows(),
-             "matmul_at_b shape mismatch " + a.shape_str() + " , " +
-                 b.shape_str());
-  Tensor c(a.cols(), b.cols());
+void matmul_at_b_portable(const Tensor& a, const Tensor& b, Tensor& c) {
   const std::size_t k = a.rows();
   const std::size_t m = a.cols();
   const std::size_t n = b.cols();
@@ -45,14 +48,9 @@ Tensor matmul_at_b(const Tensor& a, const Tensor& b) {
       for (std::size_t j = 0; j < n; ++j) ci[j] += av * bp[j];
     }
   }
-  return c;
 }
 
-Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
-  GNAV_CHECK(a.cols() == b.cols(),
-             "matmul_a_bt shape mismatch " + a.shape_str() + " , " +
-                 b.shape_str());
-  Tensor c(a.rows(), b.rows());
+void matmul_a_bt_portable(const Tensor& a, const Tensor& b, Tensor& c) {
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.rows();
@@ -66,6 +64,250 @@ Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
       ci[j] = s;
     }
   }
+}
+
+#if defined(GNAV_SIMD_X86)
+// ----------------------------------------------------------------- AVX2 --
+//
+// Register-tiled paths that give every output element the reference's
+// exact operation sequence. mul and add stay separate intrinsics, never
+// fused (the build also pins -ffp-contract=off). Tiles partition the rows
+// and columns of C, never the p sum. A zero A entry is skipped without a
+// branch: its products are ANDed to +0 through an `a != 0` lane mask
+// (unordered compare, so a NaN entry is kept), and adding +0 leaves the
+// accumulator unchanged — it starts at +0, and a round-to-nearest sum is
+// -0 only for (-0) + (-0), so it is never -0.
+
+/// Width of the last (possibly partial) vector covering `width` columns.
+constexpr std::size_t last_lanes(std::size_t width) {
+  return width - 8 * ((width - 1) / 8);
+}
+
+/// Lanes [0, lanes) set, lanes in [1, 8].
+__attribute__((target("avx2"))) inline __m256i lane_mask(std::size_t lanes) {
+  static constexpr int kRamp[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                    0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kRamp + 8 - lanes));
+}
+
+/// Vector t of an NV-vector row slice; the last one reads only the lanes
+/// of `mask` when Masked, so no tail read leaves the row.
+template <int NV, bool Masked>
+__attribute__((target("avx2"))) inline __m256 load_vec(const float* p, int t,
+                                                       __m256i mask) {
+  if (Masked && t == NV - 1) return _mm256_maskload_ps(p + 8 * t, mask);
+  return _mm256_loadu_ps(p + 8 * t);
+}
+
+template <int NV, bool Masked>
+__attribute__((target("avx2"))) inline void store_vec(float* p, int t,
+                                                      __m256i mask, __m256 v) {
+  if (Masked && t == NV - 1) {
+    _mm256_maskstore_ps(p + 8 * t, mask, v);
+  } else {
+    _mm256_storeu_ps(p + 8 * t, v);
+  }
+}
+
+/// C[0:MR, 0:w) += sum_{p in [p0, p1)} A(r, p) * B[p, 0:w), where A(r, p)
+/// is a[r * a_row + p * a_p] (so A or A^T, read in place) and w covers NV
+/// vectors, the last with `lanes` lanes. The MR x NV accumulators are
+/// loaded from C, stay in registers over the p range and are stored
+/// back: the same sum carried on, so splitting p into ranges changes no
+/// bit.
+template <int MR, int NV, bool Masked, bool SkipZeroA>
+__attribute__((target("avx2"))) void gemm_block_avx2(
+    const float* a, std::size_t a_row, std::size_t a_p, const float* b,
+    std::size_t ldb, std::size_t p0, std::size_t p1, float* c,
+    std::size_t ldc, std::size_t lanes) {
+  const __m256i mask = lane_mask(lanes);
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 acc[MR][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+    for (int t = 0; t < NV; ++t) {
+      acc[r][t] = load_vec<NV, Masked>(c + r * ldc, t, mask);
+    }
+  }
+  for (std::size_t p = p0; p < p1; ++p) {
+    const float* ap = a + p * a_p;
+    const float* bp = b + p * ldb;
+    __m256 bv[NV];
+#pragma GCC unroll 8
+    for (int t = 0; t < NV; ++t) bv[t] = load_vec<NV, Masked>(bp, t, mask);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * a_row);
+      const __m256 keep = _mm256_cmp_ps(av, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 8
+      for (int t = 0; t < NV; ++t) {
+        __m256 prod = _mm256_mul_ps(av, bv[t]);
+        if constexpr (SkipZeroA) prod = _mm256_and_ps(prod, keep);
+        acc[r][t] = _mm256_add_ps(acc[r][t], prod);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+    for (int t = 0; t < NV; ++t) {
+      store_vec<NV, Masked>(c + r * ldc, t, mask, acc[r][t]);
+    }
+  }
+}
+
+/// Operands of one gemm_block_avx2 call, less its shape.
+struct BlockArgs {
+  const float* a;
+  std::size_t a_row;
+  std::size_t a_p;
+  const float* b;
+  std::size_t ldb;
+  std::size_t p0;
+  std::size_t p1;
+  float* c;
+  std::size_t ldc;
+  std::size_t lanes;
+};
+
+/// gemm_block_avx2, masking the last vector only when it is partial.
+template <int MR, int NV, bool SkipZeroA>
+void run_block(const BlockArgs& x) {
+  if (x.lanes == 8) {
+    gemm_block_avx2<MR, NV, false, SkipZeroA>(x.a, x.a_row, x.a_p, x.b, x.ldb,
+                                              x.p0, x.p1, x.c, x.ldc, x.lanes);
+  } else {
+    gemm_block_avx2<MR, NV, true, SkipZeroA>(x.a, x.a_row, x.a_p, x.b, x.ldb,
+                                             x.p0, x.p1, x.c, x.ldc, x.lanes);
+  }
+}
+
+/// C[m x n] = A[m x k] * B[k x n] (dense row-major) for a column block of
+/// nv (in [NV, 8]) vectors: one row of C at a time, all of its column
+/// tiles in registers for the whole p loop.
+template <bool SkipZeroA, int NV = 1>
+void gemm_cols_avx2(std::size_t nv, const float* a, std::size_t m,
+                    std::size_t k, const float* b, std::size_t n, float* c,
+                    std::size_t lanes) {
+  if constexpr (NV < 8) {
+    if (nv != NV) {
+      gemm_cols_avx2<SkipZeroA, NV + 1>(nv, a, m, k, b, n, c, lanes);
+      return;
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    run_block<1, NV, SkipZeroA>({a + i * k, k, 1, b, n, 0, k, c + i * n, n,
+                                 lanes});
+  }
+}
+
+/// Column blocks of up to 64: 8 ymm accumulators per row.
+template <bool SkipZeroA>
+void gemm_avx2(const float* a, std::size_t m, std::size_t k, const float* b,
+               std::size_t n, float* c) {
+  for (std::size_t j0 = 0; j0 < n; j0 += 64) {
+    const std::size_t w = std::min<std::size_t>(64, n - j0);
+    gemm_cols_avx2<SkipZeroA>((w + 7) / 8, a, m, k, b + j0, n, c + j0,
+                              last_lanes(w));
+  }
+}
+
+/// Rows of C per matmul_at_b register block (x 16 columns).
+constexpr std::size_t kAtBRows = 4;
+/// Batch rows per p range: A's and B's slices of a range stay cache-hot
+/// while every C block of the range consumes them.
+constexpr std::size_t kAtBRange = 256;
+
+/// Runs an at_b block of mr (in [MR, kAtBRows]) rows and nv (1 or 2)
+/// vectors.
+template <int MR = 1>
+void at_b_block(std::size_t mr, std::size_t nv, const BlockArgs& x) {
+  if constexpr (MR < static_cast<int>(kAtBRows)) {
+    if (mr != MR) {
+      at_b_block<MR + 1>(mr, nv, x);
+      return;
+    }
+  }
+  if (nv == 2) {
+    run_block<MR, 2, true>(x);
+  } else {
+    run_block<MR, 1, true>(x);
+  }
+}
+
+/// C[m x n] = A[k x m]^T * B[k x n], reading A in place: a transposed
+/// copy of a batch-sized activation would raise peak memory.
+void matmul_at_b_avx2(const Tensor& a, const Tensor& b, Tensor& c) {
+  const std::size_t k = a.rows();
+  const std::size_t m = a.cols();
+  const std::size_t n = b.cols();
+  for (std::size_t p0 = 0; p0 < k; p0 += kAtBRange) {
+    const std::size_t p1 = std::min(k, p0 + kAtBRange);
+    for (std::size_t i0 = 0; i0 < m; i0 += kAtBRows) {
+      for (std::size_t j0 = 0; j0 < n; j0 += 16) {
+        const std::size_t w = std::min<std::size_t>(16, n - j0);
+        at_b_block(std::min(kAtBRows, m - i0), (w + 7) / 8,
+                   {a.data() + i0, 1, m, b.data() + j0, n, p0, p1,
+                    c.data() + i0 * n + j0, n, last_lanes(w)});
+      }
+    }
+  }
+}
+
+bool use_avx2() { return support::simd_isa() == support::SimdIsa::kAvx2; }
+
+#endif  // GNAV_SIMD_X86
+
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  GNAV_CHECK(a.cols() == b.rows(),
+             "matmul shape mismatch " + a.shape_str() + " * " + b.shape_str());
+  Tensor c(a.rows(), b.cols());
+#if defined(GNAV_SIMD_X86)
+  if (use_avx2()) {
+    gemm_avx2<true>(a.data(), a.rows(), a.cols(), b.data(), b.cols(),
+                    c.data());
+    return c;
+  }
+#endif
+  matmul_portable(a, b, c);
+  return c;
+}
+
+Tensor matmul_at_b(const Tensor& a, const Tensor& b) {
+  GNAV_CHECK(a.rows() == b.rows(),
+             "matmul_at_b shape mismatch " + a.shape_str() + " , " +
+                 b.shape_str());
+  Tensor c(a.cols(), b.cols());
+#if defined(GNAV_SIMD_X86)
+  if (use_avx2()) {
+    matmul_at_b_avx2(a, b, c);
+    return c;
+  }
+#endif
+  matmul_at_b_portable(a, b, c);
+  return c;
+}
+
+Tensor matmul_a_bt(const Tensor& a, const Tensor& b) {
+  GNAV_CHECK(a.cols() == b.cols(),
+             "matmul_a_bt shape mismatch " + a.shape_str() + " , " +
+                 b.shape_str());
+  Tensor c(a.rows(), b.rows());
+#if defined(GNAV_SIMD_X86)
+  if (use_avx2()) {
+    // B is a weight (at most hidden x hidden); its transpose turns the
+    // product into matmul's row kernel, without the zero skip.
+    const Tensor bt = transpose(b);
+    gemm_avx2<false>(a.data(), a.rows(), a.cols(), bt.data(), bt.cols(),
+                     c.data());
+    return c;
+  }
+#endif
+  matmul_a_bt_portable(a, b, c);
   return c;
 }
 

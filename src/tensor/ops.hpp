@@ -1,6 +1,36 @@
 // Dense linear-algebra kernels over Tensor. Shapes are validated with
-// GNAV_CHECK; all kernels are cache-friendly row-major loops (ikj matmul),
-// which is plenty at the mini-batch scales this simulator targets.
+// GNAV_CHECK.
+//
+// The three products (matmul, matmul_at_b, matmul_a_bt) have two tiers
+// behind one signature, picked by support/simd.hpp's process-wide cap:
+//
+//   portable — plain row-major loops (ikj for matmul, a dot product per
+//              element for matmul_a_bt). Every tier below kAuto, and any
+//              CPU without AVX2, runs these; they are the reference.
+//   AVX2     — register-tiled paths, under kAuto on an AVX2 CPU. matmul
+//              holds up to 64 columns of a row of C in 8 ymm over the
+//              whole inner loop; matmul_at_b reads A in place in blocks
+//              of 4 rows x 16 columns of C, over ranges of batch rows
+//              that stay cache-hot; matmul_a_bt transposes its (weight)
+//              B and runs matmul's row kernel. A partial last vector is
+//              loaded and stored through a lane mask.
+//
+// Bit contract: both tiers give identical bits. Every output element
+// runs the same operation sequence — each product rounded to float, then
+// added, inner index ascending, from a +0 start. No FMA, and tiles split
+// only the rows and columns of C, never the inner sum.
+//
+// Zero-skip rule: matmul and matmul_at_b skip a zero (or -0) A entry, so
+// 0 * inf there contributes nothing; matmul_a_bt does not skip, so there
+// 0 * inf gives NaN. The AVX2 paths skip without a branch (the product is
+// ANDed with an `a != 0` lane mask), which is exact because adding +0
+// never changes an accumulator that started at +0.
+//
+// The products are single-threaded on purpose: training already runs
+// inside pool workers in serving and profile collection, and on a shared
+// 4-vCPU host four threads each running one copy of the same loop took
+// 1.0-4.4x one thread's wall (4 to 0.9 cores' worth), varying from run to
+// run, so a row-parallel split has no gain that can be measured there.
 #pragma once
 
 #include <cstdint>

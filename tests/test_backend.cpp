@@ -35,6 +35,7 @@
 #include "runtime/templates.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace gnav {
@@ -150,7 +151,7 @@ TEST(BackendCapabilities, InstanceResolvesHostSimdTier) {
   const std::string tier = blocked->capabilities().simd_tier;
   EXPECT_TRUE(tier == "avx2" || tier == "sse2" || tier == "portable")
       << tier;
-  EXPECT_EQ(tier, kernels::active_spmm_isa());
+  EXPECT_EQ(tier, support::active_simd_isa());
 }
 
 // --------------------------------------------------------- BackendScope

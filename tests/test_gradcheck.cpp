@@ -1,11 +1,14 @@
 // Finite-difference gradient checks for every convolution layer and the
 // softmax cross-entropy loss — the strongest correctness evidence the
-// manual-backward training stack has. Parameterized over layer kinds.
+// manual-backward training stack has — plus the contract of a skipped
+// input gradient. Parameterized over layer kinds.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "graph/graph_builder.hpp"
 #include "nn/layers.hpp"
@@ -53,7 +56,7 @@ TEST_P(GradCheck, ParameterAndInputGradientsMatchFiniteDifferences) {
   // Analytic gradients.
   for (Parameter* p : conv->parameters()) p->zero_grad();
   objective(*conv, g, x, c);
-  const tensor::Tensor dx = conv->backward(c);
+  const tensor::Tensor dx = conv->backward(c, true);
 
   const float eps = 2e-3f;
   auto check = [&](float* slot, double analytic, const std::string& what) {
@@ -81,6 +84,39 @@ TEST_P(GradCheck, ParameterAndInputGradientsMatchFiniteDifferences) {
   // Probe input gradient entries.
   for (std::size_t i = 0; i < x.size(); i += 7) {
     check(&x.data()[i], dx.data()[i], "x[" + std::to_string(i) + "]");
+  }
+}
+
+TEST_P(GradCheck, SkippedInputGradientLeavesParameterGradientsBitIdentical) {
+  // A model's first layer passes input_grad = false: the layer must return
+  // nothing and skip only the dL/dX products, never a parameter gradient.
+  Rng rng(4321);
+  const auto g = test_graph();
+  auto conv = GetParam().make(5, 4, rng);
+  const tensor::Tensor x = tensor::Tensor::uniform(6, 5, -1.0f, 1.0f, rng);
+  const tensor::Tensor c = tensor::Tensor::uniform(6, 4, -1.0f, 1.0f, rng);
+  const auto backward = [&](bool input_grad, tensor::Tensor* dx) {
+    for (Parameter* p : conv->parameters()) p->zero_grad();
+    objective(*conv, g, x, c);
+    *dx = conv->backward(c, input_grad);
+    std::vector<tensor::Tensor> grads;
+    for (Parameter* p : conv->parameters()) grads.push_back(p->grad);
+    return grads;
+  };
+  tensor::Tensor dx_full;
+  tensor::Tensor dx_skipped;
+  const auto full = backward(true, &dx_full);
+  const auto skipped = backward(false, &dx_skipped);
+  EXPECT_TRUE(dx_full.same_shape(x));
+  EXPECT_TRUE(dx_skipped.empty());
+  const auto params = conv->parameters();
+  ASSERT_EQ(full.size(), skipped.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_TRUE(full[i].same_shape(skipped[i]));
+    EXPECT_EQ(std::memcmp(full[i].data(), skipped[i].data(),
+                          full[i].size() * sizeof(float)),
+              0)
+        << params[i]->name;
   }
 }
 

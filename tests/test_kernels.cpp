@@ -18,6 +18,7 @@
 #include "nn/aggregate.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace gnav {
@@ -118,9 +119,9 @@ TEST(SpmmEquivalence, BlockedMatchesScalarBitwiseEverywhere) {
   // Every SIMD tier of the blocked kernel must reproduce the scalar
   // reference bitwise — this is what makes the CPU's ISA (and the
   // GNAV_BACKEND selection) invisible to golden traces.
-  const kernels::SpmmSimdTier tiers[] = {kernels::SpmmSimdTier::kPortable,
-                                         kernels::SpmmSimdTier::kSse,
-                                         kernels::SpmmSimdTier::kAuto};
+  const support::SimdTier tiers[] = {support::SimdTier::kPortable,
+                                     support::SimdTier::kSse,
+                                     support::SimdTier::kAuto};
 
   for (const auto& [gname, g] : test_graphs()) {
     const auto n = static_cast<std::size_t>(g.num_nodes());
@@ -133,8 +134,8 @@ TEST(SpmmEquivalence, BlockedMatchesScalarBitwiseEverywhere) {
         const SpmmScales scales = make_scales(variant, inv_deg, gcn_norm);
         Tensor y_scalar(n, dim);
         kernels::spmm(g, x, y_scalar, scales, SpmmImpl::kScalar);
-        for (const kernels::SpmmSimdTier tier : tiers) {
-          kernels::set_spmm_simd_tier(tier);
+        for (const support::SimdTier tier : tiers) {
+          support::set_simd_tier(tier);
           for (std::size_t p = 0; p < 3; ++p) {
             Tensor y_blocked(n, dim);
             kernels::spmm(g, x, y_blocked, scales, SpmmImpl::kBlocked,
@@ -145,7 +146,7 @@ TEST(SpmmEquivalence, BlockedMatchesScalarBitwiseEverywhere) {
                 << " tier=" << static_cast<int>(tier);
           }
         }
-        kernels::set_spmm_simd_tier(kernels::SpmmSimdTier::kAuto);
+        support::set_simd_tier(support::SimdTier::kAuto);
       }
     }
   }

@@ -1,10 +1,15 @@
 // Tests for the dense tensor substrate: shapes, kernels, activations,
-// softmax, dropout, and numeric agreement between matmul variants.
+// softmax, dropout, and bit-exact agreement between the matmul variants
+// and between the portable and AVX2 tiers of each.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "support/error.hpp"
+#include "support/simd.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -52,24 +57,142 @@ TEST(Ops, MatmulKnownResult) {
   EXPECT_THROW(matmul(a, a), Error);
 }
 
+/// Pins the process-wide SIMD tier for one scope, restoring kAuto.
+class TierScope {
+ public:
+  explicit TierScope(support::SimdTier tier) { support::set_simd_tier(tier); }
+  ~TierScope() { support::set_simd_tier(support::SimdTier::kAuto); }
+  TierScope(const TierScope&) = delete;
+  TierScope& operator=(const TierScope&) = delete;
+};
+
+bool bit_equal(const Tensor& x, const Tensor& y) {
+  return x.same_shape(y) &&
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
+}
+
+using Product = Tensor (*)(const Tensor&, const Tensor&);
+
+struct Variant {
+  const char* name;
+  Product fn;
+};
+
+constexpr Variant kVariants[] = {
+    {"matmul", &matmul}, {"matmul_at_b", &matmul_at_b},
+    {"matmul_a_bt", &matmul_a_bt}};
+
+/// fn(a, b) under kPortable and under kAuto (the register-tiled paths on
+/// an AVX2 CPU) must give the same bits.
+void expect_tiers_agree(const Variant& v, const Tensor& a, const Tensor& b,
+                        const std::string& what) {
+  Tensor portable;
+  {
+    TierScope scope(support::SimdTier::kPortable);
+    portable = v.fn(a, b);
+  }
+  const Tensor tiled = v.fn(a, b);
+  EXPECT_TRUE(bit_equal(portable, tiled)) << v.name << " " << what;
+}
+
 TEST(Ops, MatmulVariantsAgreeWithExplicitTranspose) {
+  // Every variant runs one operation sequence per output element (products
+  // rounded to float, added with p ascending from +0), so on finite
+  // inputs the transposed variants equal matmul on an explicit transpose
+  // exactly, under every tier.
   Rng rng(9);
   const Tensor a = Tensor::uniform(7, 5, -1, 1, rng);
   const Tensor b = Tensor::uniform(7, 4, -1, 1, rng);
   const Tensor c = Tensor::uniform(6, 5, -1, 1, rng);
-  // A^T B == matmul(transpose(A), B)
-  const Tensor atb = matmul_at_b(a, b);
-  const Tensor atb_ref = matmul(transpose(a), b);
-  ASSERT_TRUE(atb.same_shape(atb_ref));
-  for (std::size_t i = 0; i < atb.size(); ++i) {
-    EXPECT_NEAR(atb.data()[i], atb_ref.data()[i], 1e-4);
+  for (const support::SimdTier tier :
+       {support::SimdTier::kPortable, support::SimdTier::kAuto}) {
+    TierScope scope(tier);
+    EXPECT_TRUE(bit_equal(matmul_at_b(a, b), matmul(transpose(a), b)));
+    EXPECT_TRUE(bit_equal(matmul_a_bt(c, a), matmul(c, transpose(a))));
   }
-  // A B^T == matmul(A, transpose(B))
-  const Tensor ref = matmul(c, transpose(a));
-  const Tensor got = matmul_a_bt(c, a);
-  ASSERT_TRUE(got.same_shape(ref));
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.data()[i], ref.data()[i], 1e-4);
+  expect_tiers_agree(kVariants[0], c, transpose(a), "[6x5]*[5x7]");
+  expect_tiers_agree(kVariants[1], a, b, "[7x5]^T*[7x4]");
+  expect_tiers_agree(kVariants[2], c, a, "[6x5]*[7x5]^T");
+}
+
+/// [r x c] operand, allocated at exactly r*c floats so a tail overread
+/// trips ASan: about 60% exact zeros (a tenth of them -0), some
+/// subnormals, the rest uniform in [-1, 1).
+Tensor sparse_operand(std::size_t r, std::size_t c, Rng& rng) {
+  Tensor t = Tensor::uniform(r, c, -1.0f, 1.0f, rng);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double u = rng.uniform();
+    if (u < 0.54) {
+      t.data()[i] = 0.0f;
+    } else if (u < 0.60) {
+      t.data()[i] = -0.0f;
+    } else if (u < 0.63) {
+      t.data()[i] = (u < 0.615 ? 1.0f : -1.0f) * 3e-39f;
+    }
+  }
+  return t;
+}
+
+TEST(Ops, MatmulTiersBitIdenticalOnEveryTileAndTail) {
+  if (!support::cpu_has_avx2()) {
+    GTEST_SKIP() << "no AVX2 on this CPU: only the portable loops run";
+  }
+  // -NaN is the x86 default NaN, the one 0 * inf yields, so every NaN a
+  // sum can carry has the same bits whichever operand it came from.
+  const float kNonFinite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(31);
+  for (const std::size_t rows : {0u, 1u, 5u, 7u, 13u, 300u}) {
+    for (const std::size_t inner : {0u, 1u, 5u, 64u, 300u}) {
+      for (const std::size_t cols : {0u, 1u, 7u, 8u, 9u, 12u, 15u, 16u, 17u,
+                                     33u, 63u, 64u, 65u, 129u}) {
+        const std::string what = std::to_string(rows) + "x" +
+                                 std::to_string(inner) + "x" +
+                                 std::to_string(cols);
+        // At inner index `hot` every A entry is zero and every B entry is
+        // inf or NaN: the zero skip keeps matmul and matmul_at_b finite
+        // there, while matmul_a_bt (no skip) turns each sum into NaN. A
+        // NaN A entry in the last row is never skipped: that row is NaN.
+        const std::size_t hot = inner / 2;
+        const bool nan_row = rows > 1 && inner > 1;
+        Tensor a = sparse_operand(rows, inner, rng);       // A  [m x k]
+        Tensor at = sparse_operand(inner, rows, rng);      // A  [k x m]
+        Tensor b = sparse_operand(inner, cols, rng);       // B  [k x n]
+        Tensor bt = sparse_operand(cols, inner, rng);      // B  [n x k]
+        if (inner > 0) {
+          for (std::size_t i = 0; i < rows; ++i) {
+            a.at(i, hot) = (i % 2 == 0) ? 0.0f : -0.0f;
+            at.at(hot, i) = (i % 2 == 0) ? -0.0f : 0.0f;
+          }
+          for (std::size_t j = 0; j < cols; ++j) {
+            b.at(hot, j) = kNonFinite[j % 3];
+            bt.at(j, hot) = kNonFinite[(j + 1) % 3];
+          }
+        }
+        if (nan_row) {
+          a.at(rows - 1, (hot + 1) % inner) = kNonFinite[2];
+          at.at((hot + 1) % inner, rows - 1) = kNonFinite[2];
+        }
+        expect_tiers_agree(kVariants[0], a, b, what);
+        expect_tiers_agree(kVariants[1], at, b, what);
+        expect_tiers_agree(kVariants[2], a, bt, what);
+        if (inner == 0) continue;
+        const Tensor skip = matmul(a, b);
+        const Tensor skip_t = matmul_at_b(at, b);
+        const Tensor no_skip = matmul_a_bt(a, bt);
+        for (std::size_t i = 0; i < skip.size(); ++i) {
+          const bool nan = nan_row && i / cols == rows - 1;
+          ASSERT_EQ(std::isnan(skip.data()[i]), nan) << "matmul " << what;
+          ASSERT_EQ(std::isnan(skip_t.data()[i]), nan)
+              << "matmul_at_b " << what;
+          ASSERT_TRUE(std::isfinite(skip.data()[i]) || nan) << what;
+          ASSERT_TRUE(std::isfinite(skip_t.data()[i]) || nan) << what;
+          ASSERT_TRUE(std::isnan(no_skip.data()[i])) << "matmul_a_bt " << what;
+        }
+      }
+    }
   }
 }
 
