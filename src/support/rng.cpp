@@ -1,6 +1,8 @@
 #include "support/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <unordered_set>
 
 #include "support/error.hpp"
@@ -20,6 +22,19 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256** step: returns the output for state `s` and advances it.
+inline std::uint64_t xoshiro_next(std::uint64_t (&s)[4]) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -29,16 +44,12 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
+std::uint64_t Rng::next_u64() { return xoshiro_next(s_); }
+
+void Rng::fill_u64(std::span<std::uint64_t> out) {
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (std::uint64_t& x : out) x = xoshiro_next(s);
+  std::copy(std::begin(s), std::end(s), std::begin(s_));
 }
 
 double Rng::uniform() {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gnav {
@@ -20,6 +21,13 @@ class Rng {
 
   /// Raw 64 random bits.
   std::uint64_t next_u64();
+
+  /// Fills `out` with the next out.size() next_u64() values, in order,
+  /// and leaves the state where that many next_u64() calls would: the
+  /// same stream, drawn in bulk. The loop steps a local copy of the
+  /// state, which can stay in registers because a store through `out`
+  /// cannot alias it (tensor::dropout's AVX2 path draws its blocks here).
+  void fill_u64(std::span<std::uint64_t> out);
 
   /// Uniform double in [0, 1).
   double uniform();

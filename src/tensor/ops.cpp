@@ -256,6 +256,82 @@ void matmul_at_b_avx2(const Tensor& a, const Tensor& b, Tensor& c) {
   }
 }
 
+// Elementwise selects. Each output lane is either its input's bits or
+// +0, chosen by ANDing with a lane mask, so no lane takes a branch and
+// no value is rounded that the reference does not round.
+
+/// Dropout's draws per bulk Rng call.
+constexpr std::size_t kDropoutBlock = 256;
+
+/// Drop lanes for 8 elements from their 8 draws: all ones where
+/// (u >> 11) < threshold. A signed 64-bit compare is exact here, since
+/// neither side exceeds 2^53; each 64-bit lane's low half is then packed
+/// into the 32-bit lane of its element.
+__attribute__((target("avx2"))) inline __m256 drop_lanes(
+    const std::uint64_t* u, __m256i threshold) {
+  const __m256i lo = _mm256_srli_epi64(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u)), 11);
+  const __m256i hi = _mm256_srli_epi64(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u + 4)), 11);
+  // [lo0 lo1 hi0 hi1 | lo2 lo3 hi2 hi3] in 32-bit lanes ...
+  const __m256 packed = _mm256_shuffle_ps(
+      _mm256_castsi256_ps(_mm256_cmpgt_epi64(threshold, lo)),
+      _mm256_castsi256_ps(_mm256_cmpgt_epi64(threshold, hi)),
+      _MM_SHUFFLE(2, 0, 2, 0));
+  // ... then its 64-bit pairs reordered to elements 0..7.
+  return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(packed),
+                                                _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+/// out[i] = drop ? +0 : a[i] * scale, and mask[i] = drop ? +0 : scale
+/// when mask is set, where drop is (u_i >> 11) < threshold for the i-th
+/// draw of `rng`: one draw per element, in index order.
+__attribute__((target("avx2"))) void dropout_avx2(const float* a,
+                                                  std::size_t n, float scale,
+                                                  std::uint64_t threshold,
+                                                  Rng& rng, float* out,
+                                                  float* mask) {
+  std::uint64_t draws[kDropoutBlock] = {};
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256i vthreshold =
+      _mm256_set1_epi64x(static_cast<long long>(threshold));
+  for (std::size_t b0 = 0; b0 < n; b0 += kDropoutBlock) {
+    const std::size_t len = std::min(kDropoutBlock, n - b0);
+    rng.fill_u64({draws, len});
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+      const __m256 drop = drop_lanes(draws + i, vthreshold);
+      const __m256 kept = _mm256_mul_ps(_mm256_loadu_ps(a + b0 + i), vscale);
+      _mm256_storeu_ps(out + b0 + i, _mm256_andnot_ps(drop, kept));
+      if (mask != nullptr) {
+        _mm256_storeu_ps(mask + b0 + i, _mm256_andnot_ps(drop, vscale));
+      }
+    }
+    for (; i < len; ++i) {
+      const bool drop = (draws[i] >> 11) < threshold;
+      out[b0 + i] = drop ? 0.0f : a[b0 + i] * scale;
+      if (mask != nullptr) mask[b0 + i] = drop ? 0.0f : scale;
+    }
+  }
+}
+
+/// out[i] = z[i] <= 0 ? +0 : grad[i]. The keep lanes come from the
+/// unordered `!(z <= 0)` compare, so a NaN z keeps its gradient and -0
+/// drops it, as in the reference.
+__attribute__((target("avx2"))) void relu_backward_avx2(const float* grad,
+                                                        const float* z,
+                                                        std::size_t n,
+                                                        float* out) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 keep =
+        _mm256_cmp_ps(_mm256_loadu_ps(z + i), zero, _CMP_NLE_UQ);
+    _mm256_storeu_ps(out + i, _mm256_and_ps(_mm256_loadu_ps(grad + i), keep));
+  }
+  for (; i < n; ++i) out[i] = z[i] <= 0.0f ? 0.0f : grad[i];
+}
+
 bool use_avx2() { return support::simd_isa() == support::SimdIsa::kAvx2; }
 
 #endif  // GNAV_SIMD_X86
@@ -390,6 +466,13 @@ Tensor relu(const Tensor& z) {
 
 Tensor relu_backward(const Tensor& grad_out, const Tensor& z) {
   check_same_shape(grad_out, z, "relu_backward");
+#if defined(GNAV_SIMD_X86)
+  if (use_avx2()) {
+    Tensor out(grad_out.rows(), grad_out.cols());
+    relu_backward_avx2(grad_out.data(), z.data(), out.size(), out.data());
+    return out;
+  }
+#endif
   Tensor g = grad_out;
   for (std::size_t i = 0; i < g.size(); ++i) {
     if (z.data()[i] <= 0.0f) g.data()[i] = 0.0f;
@@ -480,6 +563,19 @@ Tensor gather_rows(const Tensor& src, const std::vector<std::int64_t>& rows) {
 
 Tensor dropout(const Tensor& a, float p, Rng& rng, Tensor* mask) {
   GNAV_CHECK(p >= 0.0f && p < 1.0f, "dropout p must be in [0,1)");
+#if defined(GNAV_SIMD_X86)
+  if (p > 0.0f && use_avx2()) {
+    // uniform() < p compares (u >> 11) * 2^-53 with p, both exact, so it
+    // is the integer test (u >> 11) < ceil(p * 2^53).
+    const auto threshold =
+        static_cast<std::uint64_t>(std::ceil(static_cast<double>(p) * 0x1p53));
+    Tensor out(a.rows(), a.cols());
+    if (mask != nullptr) *mask = Tensor(a.rows(), a.cols());
+    dropout_avx2(a.data(), a.size(), 1.0f / (1.0f - p), threshold, rng,
+                 out.data(), mask != nullptr ? mask->data() : nullptr);
+    return out;
+  }
+#endif
   Tensor out = a;
   if (mask != nullptr) *mask = Tensor(a.rows(), a.cols());
   if (p == 0.0f) {

@@ -26,6 +26,24 @@
 // ANDed with an `a != 0` lane mask), which is exact because adding +0
 // never changes an accumulator that started at +0.
 //
+// dropout and relu_backward have the same two tiers under the same cap;
+// their portable loops are the reference. The AVX2 paths select without
+// a branch, ANDing each lane with a mask so it keeps its bits or becomes
+// +0:
+//
+//   dropout       — takes exactly one Rng::next_u64 draw per element, in
+//                   index order, drawn in blocks of at most 256 through
+//                   Rng::fill_u64 (the last block draws only what
+//                   remains), so the Rng ends where the reference leaves
+//                   it. An element drops when (u >> 11) < ceil(p * 2^53),
+//                   which is exactly the reference's uniform() < p: both
+//                   sides of that compare are exact. Output and mask are
+//                   written straight into fresh tensors. p == 0 draws
+//                   nothing on either tier.
+//   relu_backward — keeps grad where !(z <= 0), an unordered compare: a
+//                   NaN z keeps its gradient and -0 drops it, as in the
+//                   reference.
+//
 // The products are single-threaded on purpose: training already runs
 // inside pool workers in serving and profile collection, and on a shared
 // 4-vCPU host four threads each running one copy of the same loop took

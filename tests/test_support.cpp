@@ -129,6 +129,22 @@ TEST(Rng, DeterministicAcrossInstances) {
   }
 }
 
+TEST(Rng, BulkDrawMatchesNextU64) {
+  // The bulk draw is the next_u64 stream: the same values in order, and
+  // the same draw after it. Each buffer is sized exactly, so a write past
+  // its end trips ASan.
+  for (const std::size_t n : {0u, 1u, 7u, 256u, 1000u}) {
+    Rng bulk(77);
+    Rng serial(77);
+    std::vector<std::uint64_t> drawn(n);
+    bulk.fill_u64(drawn);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(drawn[i], serial.next_u64()) << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(bulk.next_u64(), serial.next_u64()) << "n " << n;
+  }
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1);
   Rng b(2);

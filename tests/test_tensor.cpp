@@ -1,12 +1,18 @@
 // Tests for the dense tensor substrate: shapes, kernels, activations,
 // softmax, dropout, and bit-exact agreement between the matmul variants
-// and between the portable and AVX2 tiers of each.
+// and between the portable and AVX2 tiers of the products, dropout and
+// the ReLU gradient.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/simd.hpp"
@@ -303,6 +309,100 @@ TEST(Ops, DropoutZeroProbIsIdentity) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
     EXPECT_FLOAT_EQ(mask.data()[i], 1.0f);
+  }
+}
+
+/// Element counts for the elementwise tier sweeps: every tail of an
+/// 8-lane vector, both sides of dropout's 256-draw blocks, and the hidden
+/// activation of a products batch (7301 x 64).
+std::vector<std::pair<std::size_t, std::size_t>> elementwise_shapes() {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t n = 0; n <= 17; ++n) shapes.emplace_back(n, 1);
+  for (const std::size_t n : {255u, 256u, 257u, 511u, 512u, 513u}) {
+    shapes.emplace_back(n, 1);
+  }
+  shapes.emplace_back(7301, 64);
+  return shapes;
+}
+
+/// [r x c] operand, allocated at exactly r*c floats so a tail overread
+/// trips ASan: uniform in [-1, 1) with about a third of the entries
+/// special — +0, -0, +inf, -inf, NaNs of both signs (one with a payload,
+/// one signaling) and subnormals of both signs.
+Tensor special_operand(std::size_t r, std::size_t c, Rng& rng) {
+  const float kSpecial[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::bit_cast<float>(std::uint32_t{0x7fc01234}),
+                            std::numeric_limits<float>::signaling_NaN(),
+                            3e-39f,
+                            -3e-39f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min()};
+  Tensor t = Tensor::uniform(r, c, -1.0f, 1.0f, rng);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (rng.uniform() < 0.35) {
+      t.data()[i] = kSpecial[rng.uniform_index(std::size(kSpecial))];
+    }
+  }
+  return t;
+}
+
+TEST(Ops, DropoutTiersBitIdentical) {
+  if (!support::cpu_has_avx2()) {
+    GTEST_SKIP() << "no AVX2 on this CPU: only the portable loop runs";
+  }
+  // Same output, same mask, and the Rng left at the same state: the AVX2
+  // path takes one draw per element in index order, as the reference does.
+  Rng data_rng(41);
+  std::uint64_t seed = 1000;
+  for (const auto& [rows, cols] : elementwise_shapes()) {
+    const Tensor a = special_operand(rows, cols, data_rng);
+    for (const float p : {0.0f, 1e-7f, 0.1f, 0.25f, 0.3f, 0.5f, 0.9f}) {
+      for (const bool with_mask : {false, true}) {
+        const std::string what = a.shape_str() + " p " + std::to_string(p) +
+                                 (with_mask ? " masked" : "");
+        Rng rng_portable(++seed);
+        Rng rng_auto(seed);
+        Tensor out_portable;
+        Tensor mask_portable;
+        {
+          TierScope scope(support::SimdTier::kPortable);
+          out_portable = dropout(a, p, rng_portable,
+                                 with_mask ? &mask_portable : nullptr);
+        }
+        Tensor mask_auto;
+        const Tensor out_auto =
+            dropout(a, p, rng_auto, with_mask ? &mask_auto : nullptr);
+        ASSERT_TRUE(bit_equal(out_portable, out_auto)) << what;
+        ASSERT_TRUE(bit_equal(mask_portable, mask_auto)) << what;
+        ASSERT_EQ(rng_portable.next_u64(), rng_auto.next_u64()) << what;
+      }
+    }
+  }
+}
+
+TEST(Ops, ReluBackwardTiersBitIdentical) {
+  if (!support::cpu_has_avx2()) {
+    GTEST_SKIP() << "no AVX2 on this CPU: only the portable loop runs";
+  }
+  // The reference zeroes the gradient where z <= 0: a NaN z keeps it
+  // (NaN <= 0 is false), -0 and negative subnormals drop it, and a kept
+  // gradient, NaN payloads included, keeps its bits.
+  Rng rng(43);
+  for (const auto& [rows, cols] : elementwise_shapes()) {
+    const Tensor grad = special_operand(rows, cols, rng);
+    const Tensor z = special_operand(rows, cols, rng);
+    Tensor portable;
+    {
+      TierScope scope(support::SimdTier::kPortable);
+      portable = relu_backward(grad, z);
+    }
+    ASSERT_TRUE(bit_equal(portable, relu_backward(grad, z)))
+        << grad.shape_str();
   }
 }
 
