@@ -12,7 +12,6 @@
 #include "nn/aggregate.hpp"
 #include "nn/model.hpp"
 #include "sampling/sampler_factory.hpp"
-#include "support/simd.hpp"
 #include "tensor/ops.hpp"
 
 using namespace gnav;
@@ -184,20 +183,12 @@ BENCHMARK(BM_Matmul)
     ->Unit(benchmark::kMillisecond);
 
 /// The elementwise benchmarks below run on the 7301 x 64 hidden
-/// activation of a train-products-async batch. arg: tier (0 = the
-/// portable loop, 1 = kAuto, the AVX2 path on an AVX2 CPU); the tier cap
-/// is process-wide, so each run restores kAuto.
+/// activation of a train-products-async batch, under the current tier.
 constexpr std::size_t kActRows = 7301;
 constexpr std::size_t kActCols = 64;
 
-void set_bench_tier(const benchmark::State& state) {
-  support::set_simd_tier(state.range(0) == 0 ? support::SimdTier::kPortable
-                                             : support::SimdTier::kAuto);
-}
-
 /// Dropout at p 0.3 (the TrainConfig default), recording its mask.
 void BM_Dropout(benchmark::State& state) {
-  set_bench_tier(state);
   Rng rng(10);
   const auto h = tensor::Tensor::uniform(kActRows, kActCols, -1, 1, rng);
   tensor::Tensor mask;
@@ -207,15 +198,12 @@ void BM_Dropout(benchmark::State& state) {
     benchmark::DoNotOptimize(mask.data());
     benchmark::ClobberMemory();
   }
-  support::set_simd_tier(support::SimdTier::kAuto);
   state.SetItemsProcessed(state.iterations() * static_cast<long>(h.size()));
 }
-BENCHMARK(BM_Dropout)->ArgName("tier")->Arg(0)->Arg(1)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_Dropout)->Unit(benchmark::kMillisecond);
 
 /// The ReLU gradient with about half the pre-activations negative.
 void BM_ReluBackward(benchmark::State& state) {
-  set_bench_tier(state);
   Rng rng(11);
   const auto z = tensor::Tensor::uniform(kActRows, kActCols, -1, 1, rng);
   const auto grad = tensor::Tensor::uniform(kActRows, kActCols, -1, 1, rng);
@@ -224,11 +212,9 @@ void BM_ReluBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(g.data());
     benchmark::ClobberMemory();
   }
-  support::set_simd_tier(support::SimdTier::kAuto);
   state.SetItemsProcessed(state.iterations() * static_cast<long>(z.size()));
 }
-BENCHMARK(BM_ReluBackward)->ArgName("tier")->Arg(0)->Arg(1)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_ReluBackward)->Unit(benchmark::kMillisecond);
 
 void BM_CacheLookup(benchmark::State& state) {
   const auto& g = bench_graph();

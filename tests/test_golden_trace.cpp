@@ -8,8 +8,6 @@
 // stage is deterministic at any thread count (task_seed batching + the
 // bit-identical SpMM kernel contract, see kernels/spmm.hpp and
 // test_kernels.cpp), so drift here means behavior actually changed.
-// The corpus is profiled sync-only: measured executor walls are real
-// timings, so they stay out of the decisions the goldens pin.
 //
 // Regenerating the goldens (after an INTENDED behavior change):
 //
@@ -95,14 +93,6 @@ TraceResult run_trace(const GoldenCase& c) {
   estimator::CollectorOptions opts;
   opts.configs_per_dataset = 8;
   opts.epochs = 1;
-  // Sync-only corpus. Async rows would train the overlap model on
-  // measured executor walls (at the default async_every of 4: 4 rows for
-  // 11 ridge features), and its fitted ratio would re-rank candidates in
-  // dse::effective_time_s by wall-clock noise. Without them the
-  // estimator keeps Eq. 4's analytic ratio, a pure function of the
-  // corpus. test_overlap_model and
-  // DecisionMaker.FittedOverlapFlipsWinnerVsAnalytic cover the fitted path.
-  opts.async_every = 0;
   std::vector<estimator::ProfiledRun> corpus;
   {
     const auto partner = graph::load_dataset(c.corpus_dataset);
