@@ -244,8 +244,7 @@ int main(int argc, char** argv) {
 
       // Hard guarantee #2: the scheduler's price IS the estimator's
       // pipelined-wall prediction (or the serial wall for sync jobs).
-      const auto p =
-          est.predict(job.request.config, stats, job.request.backend_id);
+      const auto p = est.predict(job.request.config, stats);
       const double serial = (p.overlap_ratio_analytic > 0.0
                                  ? p.time_s / p.overlap_ratio_analytic
                                  : p.time_s) *

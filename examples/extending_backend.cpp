@@ -8,8 +8,10 @@
 //     fixed fanout of hubs) against the Sampler interface, and
 //  2. an out-of-tree ComputeBackend ("example-counting": delegates SpMM
 //     to the built-in blocked kernel while counting dispatches)
-//     registered in the BackendFactory and selected for the training
-//     loop with a BackendScope,
+//     registered in the BackendFactory with its id and creator, and
+//     selected for the training loop with a lexical BackendScope (a
+//     RuntimeBackend run would name it in RunOptions::backend_id
+//     instead),
 //
 // then trains with both on the same dataset/model stack with zero
 // changes to the library.
@@ -121,13 +123,9 @@ std::shared_ptr<compute::ComputeBackend> make_counting_backend() {
 }  // namespace
 
 int main() {
-  // Register the custom backend; declared capabilities mirror the
-  // blocked backend it delegates to.
-  compute::BackendFactory::register_backend(
-      "example-counting",
-      compute::BackendFactory::declared_capabilities(
-          compute::kBlockedBackendId),
-      &make_counting_backend);
+  // Register the custom backend: an id and a creator are all it takes.
+  compute::BackendFactory::register_backend("example-counting",
+                                            &make_counting_backend);
   // Route every aggregation in this scope (model forward/backward
   // included) through it.
   const compute::BackendScope backend_scope("example-counting");

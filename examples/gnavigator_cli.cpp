@@ -13,14 +13,15 @@
 // PyG configuration and the generated guideline, and prints both,
 // including the epoch executor's measured stage/backpressure profile.
 // --pipeline/--pipeline-depth select the epoch executor (equivalent to
-// GNAV_PIPELINE / GNAV_PIPELINE_DEPTH).
+// GNAV_PIPELINE / GNAV_PIPELINE_DEPTH). --backend picks the compute
+// backend of every run: profiling, training and serve jobs.
 //
 // --serve-jobs N switches Step 3 into multi-tenant serving: N jobs
 // alternating the guideline and the PyG baseline are priced with
 // predict_pipelined_wall_s, admitted, and drained through
 // serve::JobScheduler under fair-share scheduling with --serve-tenants
-// (default 2) concurrently active jobs; per-job price/state and the
-// aggregate jobs/min are printed.
+// (default 2) concurrently active jobs; per-job price, state and backend
+// and the aggregate jobs/min are printed.
 //
 // --trace-out FILE records every pipeline/cache/serve span of the whole
 // invocation and writes Chrome trace-event JSON (load in Perfetto or
@@ -146,13 +147,15 @@ int main(int argc, char** argv) {
                  "--pipeline-depth must be >= 1");
       ::setenv("GNAV_PIPELINE_DEPTH", args.at("pipeline-depth").c_str(), 1);
     }
-    // --backend picks the compute backend for everything below
-    // (profiling, exploration, training, serving): the factory default
-    // is set before any run starts, equivalent to GNAV_BACKEND but
-    // validated with the factory's error message up front.
-    if (args.contains("backend")) {
-      compute::BackendFactory::set_default_id(args.at("backend"));
-    }
+    // --backend picks the compute backend for every run below. The scope
+    // pins it on this thread, where the navigator's runs and profiling
+    // resolve their RunOptions; serve jobs name it explicitly. An
+    // unknown id fails here, before any dataset loads, with the
+    // factory's list of registered ids.
+    const std::string backend_id = args.contains("backend")
+                                       ? args.at("backend")
+                                       : compute::kBlockedBackendId;
+    const compute::BackendScope backend_scope(backend_id);
 
     dse::BaseSettings base;
     base.model = nn::model_kind_from_string(model_name);
@@ -234,6 +237,7 @@ int main(int argc, char** argv) {
         serve::JobRequest req;
         req.tenant = "tenant-" + std::to_string(i % tenants);
         req.epochs = epochs;
+        req.backend_id = backend_id;
         if (i % 2 == 0) {
           req.config = guideline.config;
           req.pipeline.mode = runtime::PipelineMode::kAsync;
@@ -250,13 +254,14 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < sched.size(); ++i) {
         const serve::JobOutcome& job = sched.outcome(i);
         std::printf("  job %zu [%s] %-16s price=%.3fs (%s) -> %s "
-                    "T=%.2fs acc=%.2f%%\n",
+                    "T=%.2fs acc=%.2f%% backend=%s\n",
                     job.id, job.request.tenant.c_str(),
                     job.request.config.name.c_str(),
                     job.price.predicted_wall_s,
                     job.price.overlap_fitted ? "fitted" : "Eq.4",
                     serve::to_string(job.state).c_str(),
-                    job.report.epoch_time_s, 100.0 * job.report.test_accuracy);
+                    job.report.epoch_time_s, 100.0 * job.report.test_accuracy,
+                    job.report.backend_id.c_str());
       }
       std::printf("drain: %zu started, %zu completed, %zu failed | "
                   "wall=%.2fs throughput=%.1f jobs/min\n",

@@ -1,8 +1,6 @@
 #include "compute/backend.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <new>
 #include <unordered_map>
 #include <utility>
@@ -101,31 +99,6 @@ tensor::Tensor ComputeBackend::spmm(const graph::CsrGraph& g,
   return y;
 }
 
-tensor::Tensor ComputeBackend::aggregate(AggregateKind kind,
-                                         const graph::CsrGraph& g,
-                                         const tensor::Tensor& x) const {
-  GNAV_CHECK(x.rows() == static_cast<std::size_t>(g.num_nodes()),
-             "aggregate: feature rows (" + std::to_string(x.rows()) +
-                 ") != num_nodes (" + std::to_string(g.num_nodes()) + ")");
-  switch (kind) {
-    case AggregateKind::kSum:
-      return spmm(g, x, kernels::SpmmScales{});
-    case AggregateKind::kMean: {
-      const auto inv = inverse_degree_scales(g);
-      return spmm(g, x, mean_spmm_scales(inv.data()));
-    }
-    case AggregateKind::kMeanTranspose: {
-      const auto inv = inverse_degree_scales(g);
-      return spmm(g, x, mean_transpose_spmm_scales(inv.data()));
-    }
-    case AggregateKind::kGcn: {
-      const auto norm = gcn_norm_scales(g);
-      return spmm(g, x, gcn_spmm_scales(norm.data()));
-    }
-  }
-  throw Error("aggregate: unknown AggregateKind");
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -150,14 +123,13 @@ class AlignedHeapAllocator final : public DeviceAllocator {
 /// "cpu-blocked").
 class CpuKernelBackend : public ComputeBackend {
  public:
-  CpuKernelBackend(std::string id, kernels::SpmmImpl impl,
-                   BackendCapabilities declared)
-      : id_(std::move(id)), impl_(impl), declared_(std::move(declared)) {}
+  CpuKernelBackend(std::string id, kernels::SpmmImpl impl)
+      : id_(std::move(id)), impl_(impl) {}
 
   const std::string& id() const override { return id_; }
 
   BackendCapabilities capabilities() const override {
-    BackendCapabilities caps = declared_;
+    BackendCapabilities caps;
     if (impl_ != kernels::SpmmImpl::kScalar) {
       caps.simd_tier = support::active_simd_isa();
     }
@@ -176,41 +148,23 @@ class CpuKernelBackend : public ComputeBackend {
  private:
   std::string id_;
   kernels::SpmmImpl impl_;
-  BackendCapabilities declared_;
   mutable AlignedHeapAllocator allocator_;
 };
 
 // ---------------------------------------------------------------------------
 // Registry.
 
-BackendCapabilities scalar_declared() {
-  BackendCapabilities caps;
-  caps.simd_tier = "portable";
-  caps.relative_throughput = 1.0;
-  caps.supports_async_transfer = false;
-  return caps;
-}
-
-BackendCapabilities blocked_declared() {
-  BackendCapabilities caps;
-  caps.simd_tier = "auto";
-  caps.relative_throughput = 1.8;
-  caps.supports_async_transfer = true;
-  return caps;
-}
-
 std::shared_ptr<ComputeBackend> make_scalar_backend() {
-  return std::make_shared<CpuKernelBackend>(
-      kScalarBackendId, kernels::SpmmImpl::kScalar, scalar_declared());
+  return std::make_shared<CpuKernelBackend>(kScalarBackendId,
+                                            kernels::SpmmImpl::kScalar);
 }
 
 std::shared_ptr<ComputeBackend> make_blocked_backend() {
-  return std::make_shared<CpuKernelBackend>(
-      kBlockedBackendId, kernels::SpmmImpl::kBlocked, blocked_declared());
+  return std::make_shared<CpuKernelBackend>(kBlockedBackendId,
+                                            kernels::SpmmImpl::kBlocked);
 }
 
 struct RegistryEntry {
-  BackendCapabilities declared;
   BackendFactory::Creator creator = nullptr;
   std::shared_ptr<const ComputeBackend> instance;  // lazily created
 };
@@ -221,22 +175,19 @@ struct Registry {
   /// entries is looked up by key only; diagnostics listing backends walk
   /// `order` (registration order), never this map.
   std::unordered_map<std::string, RegistryEntry> entries GNAV_GUARDED_BY(mu);
-  /// empty = unset, fall back to env/built-in
-  std::string default_override GNAV_GUARDED_BY(mu);
-  bool warned_bad_env GNAV_GUARDED_BY(mu) = false;
 
   Registry() {
     // The lock is uncontended here (nobody else can see the registry
     // before the constructor returns) but satisfies add()'s REQUIRES.
     const support::MutexLock lock(mu);
-    add(kScalarBackendId, scalar_declared(), &make_scalar_backend);
-    add(kBlockedBackendId, blocked_declared(), &make_blocked_backend);
+    add(kScalarBackendId, &make_scalar_backend);
+    add(kBlockedBackendId, &make_blocked_backend);
   }
 
-  void add(const std::string& id, BackendCapabilities declared,
-           BackendFactory::Creator creator) GNAV_REQUIRES(mu) {
+  void add(const std::string& id, BackendFactory::Creator creator)
+      GNAV_REQUIRES(mu) {
     order.push_back(id);
-    entries.emplace(id, RegistryEntry{std::move(declared), creator, nullptr});
+    entries.emplace(id, RegistryEntry{creator, nullptr});
   }
 };
 
@@ -321,7 +272,6 @@ std::vector<std::string> BackendFactory::registered_ids() {
 }
 
 void BackendFactory::register_backend(const std::string& id,
-                                      BackendCapabilities declared,
                                       Creator creator) {
   GNAV_CHECK(!id.empty(), "backend id must be non-empty");
   GNAV_CHECK(creator != nullptr, "backend creator must be non-null");
@@ -329,42 +279,7 @@ void BackendFactory::register_backend(const std::string& id,
   const support::MutexLock lock(r.mu);
   GNAV_CHECK(r.entries.find(id) == r.entries.end(),
              "compute backend \"" + id + "\" is already registered");
-  r.add(id, std::move(declared), creator);
-}
-
-BackendCapabilities BackendFactory::declared_capabilities(
-    const std::string& id) {
-  Registry& r = registry();
-  const support::MutexLock lock(r.mu);
-  const auto it = r.entries.find(id);
-  if (it == r.entries.end()) return BackendCapabilities{};
-  return it->second.declared;
-}
-
-std::string BackendFactory::default_id() {
-  Registry& r = registry();
-  const support::MutexLock lock(r.mu);
-  if (!r.default_override.empty()) return r.default_override;
-  if (const char* env = std::getenv("GNAV_BACKEND");
-      env != nullptr && *env != '\0') {
-    if (r.entries.find(env) != r.entries.end()) return env;
-    if (!r.warned_bad_env) {
-      r.warned_bad_env = true;
-      std::fprintf(stderr,
-                   "gnav: GNAV_BACKEND=%s is not a registered compute "
-                   "backend (registered: %s); using %s\n",
-                   env, joined_ids_locked(r).c_str(), kBlockedBackendId);
-    }
-  }
-  return kBlockedBackendId;
-}
-
-void BackendFactory::set_default_id(const std::string& id) {
-  // Validate outside the registry lock (create() takes it too).
-  (void)create(id);
-  Registry& r = registry();
-  const support::MutexLock lock(r.mu);
-  r.default_override = id;
+  r.add(id, creator);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,7 +293,7 @@ const ComputeBackend& current_backend() {
   if (t_current_backend != nullptr) return *t_current_backend;
   // Registry singletons are never destroyed while in use, so handing out
   // a reference to the shared instance is safe.
-  return *BackendFactory::create(BackendFactory::default_id());
+  return *BackendFactory::create(kBlockedBackendId);
 }
 
 std::string current_backend_id() { return current_backend().id(); }

@@ -2,14 +2,18 @@
 //
 // Everything above the raw kernels (nn layers, the training runtime, the
 // device cache) talks to an abstract ComputeBackend instead of calling a
-// hard-wired CPU implementation: virtual SpMM/aggregate entry points,
+// hard-wired CPU implementation: a virtual SpMM entry point and
 // per-backend device memory (a DeviceAllocator the backend owns, which
-// turns cache::DeviceCache into an actual device-residency manager), and
-// capability flags the estimator features on and the DSE can constrain
-// against. Backends are created by string id through BackendFactory —
-// the tensorlogic BackendFactory::create / Etaler CPUBackend-OpenCLBackend
+// turns cache::DeviceCache into an actual device-residency manager).
+// Backends are created by string id through BackendFactory — the
+// tensorlogic BackendFactory::create / Etaler CPUBackend-OpenCLBackend
 // pattern — so a GPU or out-of-core backend is a registration, not a
 // refactor.
+//
+// A backend is a kernel choice and nothing more: it never reaches the
+// estimator, the profiling corpus's features or the DSE. T and Γ are
+// simulated by hw::CostModel, and every built-in backend gives the same
+// bits, so no prediction or decision could depend on it.
 //
 // Bit-identity contract PER BACKEND ID: a backend must produce the exact
 // same bits for the same inputs at any thread count and on any host (the
@@ -21,19 +25,16 @@
 //
 // Built-in ids:
 //   "cpu-scalar"  — the naive reference loop; semantic ground truth.
-//                   Declares NO async-transfer support (it exists to
-//                   define correctness, not to pipeline), so the DSE
-//                   rejects pipelined configs constrained to it.
 //   "cpu-blocked" — the production register-tiled AVX2-dispatch kernel.
 // Each passes its kernels::SpmmImpl to the kernel layer as a plain
 // argument; the backend id is the only selection there is.
 //
-// Selection: GNAV_BACKEND=<id> (env) or BackendFactory::set_default_id()
-// — both PROCESS-SETUP knobs only. Every concurrent code path pins its
-// backend per run with a thread-local BackendScope, the one selection pin
-// in the system (runtime::RunOptions::backend_id → scope in the run and
-// in every async stage closure), so flipping the default mid-flight
-// cannot reselect another job's kernels (pinned by test_serve.cpp).
+// Selection is per run, collector or job (runtime::RunOptions,
+// estimator::CollectorOptions, serve::JobRequest::backend_id), or by a
+// lexical thread-local BackendScope; a thread with no scope resolves to
+// "cpu-blocked". The runtime pins RunOptions::backend_id with a scope in
+// the run and in every async stage closure, so concurrent jobs on shared
+// pools never see each other's kernels (pinned by test_serve.cpp).
 #pragma once
 
 #include <atomic>
@@ -59,24 +60,12 @@ namespace gnav::compute {
 inline constexpr const char* kScalarBackendId = "cpu-scalar";
 inline constexpr const char* kBlockedBackendId = "cpu-blocked";
 
-/// Capability flags of one backend. The DECLARED capabilities (what
-/// BackendFactory::declared_capabilities returns, and what the estimator
-/// features on) are static per id — identical on every host, so fitted
-/// models and golden traces never depend on the machine they ran on. A
-/// live instance's capabilities() additionally resolves `simd_tier` to
-/// the ISA actually dispatched on this host (diagnostics only).
+/// What a live backend instance dispatches to on this host (diagnostics
+/// only; nothing in the estimator or the DSE reads it).
 struct BackendCapabilities {
-  /// Declared: widest SIMD tier the backend's kernels are written for
-  /// ("portable" | "auto"). Resolved on an instance: the host's actual
-  /// dispatch ("avx2" | "sse2" | "portable").
+  /// The SIMD path the backend's kernels run: "avx2" | "sse2" |
+  /// "portable".
   std::string simd_tier = "portable";
-  /// Declared throughput relative to the scalar reference on the bench
-  /// graphs (a static prior the estimator can feature on, NOT a
-  /// measurement of this host).
-  double relative_throughput = 1.0;
-  /// Whether the backend can overlap host->device staging with compute —
-  /// the async pipelined executor requires it.
-  bool supports_async_transfer = false;
 };
 
 /// Device-memory interface a backend owns. Allocation sizes are float
@@ -119,13 +108,9 @@ class DeviceAllocator {
   std::atomic<obs::Gauge*> peak_gauge_{nullptr};
 };
 
-/// Aggregation operators a backend must provide (the Aggregate of Eq. 1;
-/// semantics documented in nn/aggregate.hpp, which delegates here).
-enum class AggregateKind { kSum, kMean, kMeanTranspose, kGcn };
-
-/// Scale-vector builders shared by the default aggregate implementation
-/// and the nn layers (which cache them across forward/backward):
-/// 1/deg(v), with 0 for isolated vertices.
+/// Scale-vector builders shared by the nn aggregation wrappers and layers
+/// (which cache them across forward/backward): 1/deg(v), with 0 for
+/// isolated vertices.
 std::vector<float> inverse_degree_scales(const graph::CsrGraph& g);
 /// 1/sqrt(deg(v) + 1) — the GCN symmetric normalization.
 std::vector<float> gcn_norm_scales(const graph::CsrGraph& g);
@@ -133,8 +118,7 @@ std::vector<float> gcn_norm_scales(const graph::CsrGraph& g);
 /// SpmmScales of the GCN-normalized operator for a gcn_norm_scales
 /// vector: src = dst = self = 1/sqrt(d+1), i.e.
 /// Y[v] = s_v * (s_v X[v] + sum_u s_u X[u]). One definition shared by
-/// every backend's aggregate and the nn layers so the convention cannot
-/// drift.
+/// nn/aggregate and the nn layers so the convention cannot drift.
 inline kernels::SpmmScales gcn_spmm_scales(const float* norm) {
   kernels::SpmmScales scales;
   scales.src_scale = norm;
@@ -165,8 +149,7 @@ class ComputeBackend {
 
   virtual const std::string& id() const = 0;
 
-  /// Resolved capabilities of this instance: the declared flags with
-  /// `simd_tier` replaced by the host's actual kernel dispatch.
+  /// This instance's kernel dispatch on this host.
   virtual BackendCapabilities capabilities() const = 0;
 
   /// The backend's device memory. cache::DeviceCache::attach_storage
@@ -179,13 +162,6 @@ class ComputeBackend {
   virtual void spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
                     tensor::Tensor& y, const kernels::SpmmScales& scales,
                     support::ThreadPool* pool = nullptr) const = 0;
-
-  /// One of the four aggregation operators via this backend's SpMM. The
-  /// default builds the scale vectors per call; backends with cached
-  /// normalization state may override.
-  virtual tensor::Tensor aggregate(AggregateKind kind,
-                                   const graph::CsrGraph& g,
-                                   const tensor::Tensor& x) const;
 
   /// Allocating convenience over the virtual spmm.
   tensor::Tensor spmm(const graph::CsrGraph& g, const tensor::Tensor& x,
@@ -209,28 +185,13 @@ class BackendFactory {
   static std::vector<std::string> registered_ids();
 
   /// Registers a custom backend (extension point; see
-  /// examples/extending_backend.cpp). `declared` must be host-independent.
-  /// Throws if `id` is already registered.
-  static void register_backend(const std::string& id,
-                               BackendCapabilities declared, Creator creator);
-
-  /// DECLARED capabilities for `id` — static per id, never resolved
-  /// against the host, so estimator features and DSE feasibility are
-  /// machine-independent. Unknown ids return neutral defaults (corpus
-  /// files may carry ids this build does not register).
-  static BackendCapabilities declared_capabilities(const std::string& id);
-
-  /// Process-wide default id: set_default_id() if called, else
-  /// GNAV_BACKEND (unknown values warn once and are ignored), else
-  /// "cpu-blocked". PROCESS-SETUP knob only — concurrent code paths must
-  /// pin per run via BackendScope, never flip this (see the isolation
-  /// contract above and in serve/job_scheduler.hpp).
-  static std::string default_id();
-  static void set_default_id(const std::string& id);
+  /// examples/extending_backend.cpp). Throws if `id` is already
+  /// registered.
+  static void register_backend(const std::string& id, Creator creator);
 };
 
 /// Backend the calling thread currently resolves to: the innermost
-/// active BackendScope on this thread, else the factory default.
+/// active BackendScope on this thread, else "cpu-blocked".
 const ComputeBackend& current_backend();
 std::string current_backend_id();
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "compute/backend.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/parallel.hpp"
@@ -13,11 +12,6 @@ namespace {
 /// DesignSpace::axes() — pruning bounds become available once it is fixed.
 constexpr std::size_t kCacheAxis = 3;
 constexpr double kFrameworkOverheadGb = 0.55;
-
-const std::string& constraint_backend_id(const RuntimeConstraints& c) {
-  static const std::string kDefault = compute::kBlockedBackendId;
-  return c.backend_id.empty() ? kDefault : c.backend_id;
-}
 }  // namespace
 
 Explorer::Explorer(const DesignSpace& space,
@@ -27,18 +21,11 @@ Explorer::Explorer(const DesignSpace& space,
   GNAV_CHECK(est.is_fitted(), "explorer needs a fitted estimator");
 }
 
-bool Explorer::satisfies(const runtime::TrainConfig& config,
-                         const estimator::PerfPrediction& p,
-                         const RuntimeConstraints& c) const {
+bool Explorer::satisfies(const estimator::PerfPrediction& p,
+                         const RuntimeConstraints& c) {
   if (c.max_epoch_time_s > 0.0 && p.time_s > c.max_epoch_time_s) return false;
   if (c.max_memory_gb > 0.0 && p.memory_gb > c.max_memory_gb) return false;
   if (c.min_accuracy > 0.0 && p.accuracy < c.min_accuracy) return false;
-  // Capability feasibility against the constraint backend's DECLARED
-  // capabilities (static per id — identical on every host, so a decision
-  // made here is valid wherever the config later runs).
-  const compute::BackendCapabilities caps =
-      compute::BackendFactory::declared_capabilities(constraint_backend_id(c));
-  if (config.pipeline_overlap && !caps.supports_async_transfer) return false;
   return true;
 }
 
@@ -90,12 +77,11 @@ void Explorer::evaluate_candidates(
     const RuntimeConstraints& constraints, ExplorationResult& result) const {
   std::vector<estimator::PerfPrediction> predictions(configs.size());
   support::ThreadPool& pool = pool_ ? *pool_ : support::global_pool();
-  const std::string& backend_id = constraint_backend_id(constraints);
   pool.parallel_for(0, configs.size(), [&](std::size_t i) {
-    predictions[i] = estimator_->predict(configs[i], stats_, backend_id);
+    predictions[i] = estimator_->predict(configs[i], stats_);
   });
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (!satisfies(configs[i], predictions[i], constraints)) continue;
+    if (!satisfies(predictions[i], constraints)) continue;
     result.feasible.push_back(Candidate{configs[i], predictions[i]});
     ++result.stats.feasible;
   }

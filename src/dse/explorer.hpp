@@ -70,13 +70,9 @@ class Explorer {
   void set_pool(support::ThreadPool* pool) { pool_ = pool; }
 
  private:
-  /// Prediction limits plus capability feasibility: a config the
-  /// constraint backend's DECLARED capabilities cannot execute
-  /// (pipeline_overlap on a backend without async transfer) is
-  /// infeasible regardless of its predicted Perf.
-  bool satisfies(const runtime::TrainConfig& config,
-                 const estimator::PerfPrediction& p,
-                 const RuntimeConstraints& c) const;
+  /// Whether a predicted Perf meets every active runtime limit.
+  static bool satisfies(const estimator::PerfPrediction& p,
+                        const RuntimeConstraints& c);
   void dfs(std::vector<std::size_t>& levels, std::size_t axis,
            const RuntimeConstraints& constraints, ExplorationResult& result,
            std::vector<runtime::TrainConfig>& leaves) const;

@@ -30,12 +30,6 @@ struct RuntimeConstraints {
   double max_epoch_time_s = 0.0;    // 0 = unconstrained
   double max_memory_gb = 0.0;       // device memory budget
   double min_accuracy = 0.0;        // accuracy floor
-  /// Compute backend the decided config will execute on. The explorer
-  /// predicts with this backend's features and rejects configs its
-  /// DECLARED capabilities cannot run (pipeline_overlap without
-  /// async-transfer support).
-  /// Empty = the factory default, "cpu-blocked".
-  std::string backend_id;
 };
 
 inline ExploreTargets targets_balance() {

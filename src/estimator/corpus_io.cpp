@@ -13,7 +13,8 @@ namespace {
 
 // Explicit schema version tokens. v2 introduced the token itself (plus
 // the executor-config columns); v3 adds the `backend` column carrying
-// the compute-backend id the run executed on. v1 files carry no token
+// the compute-backend id the run executed on — row provenance only, no
+// estimator feature reads it. v1 files carry no token
 // and are recognized by their exact legacy header instead (see
 // load_corpus's migration path).
 constexpr const char* kVersionLineV3 = "# gnav-corpus-version 3";
@@ -74,8 +75,8 @@ constexpr std::size_t kScalarCellsV2 = 41;
 constexpr std::size_t kScalarCellsV3 = 42;
 
 // Rows written before the backend column (v1/v2) — and defensive blanks
-// in v3 files — fit as the backend every run actually executed on back
-// then: the factory default.
+// in v3 files — load as the backend every run actually executed on back
+// then.
 const char* const kDefaultBackendCell = "cpu-blocked";
 
 std::string config_cell(const runtime::TrainConfig& config) {
@@ -149,7 +150,7 @@ std::vector<ProfiledRun> load_corpus(const std::string& path) {
   // era, before the executor-config columns) files lead directly with
   // their header and migrate in place: the missing executor cells
   // default to a sync row, which downstream fits ignore by design, and
-  // pre-v3 rows (no backend column) fit as "cpu-blocked" — the backend
+  // pre-v3 rows (no backend column) load as "cpu-blocked" — the backend
   // every run actually executed on before backends existed.
   int version = 0;
   if (trim(line) == kVersionLineV3 || trim(line) == kVersionLineV2) {

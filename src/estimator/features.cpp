@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compute/backend.hpp"
 #include "sampling/batch_size_model.hpp"
 
 namespace gnav::estimator {
@@ -37,9 +36,6 @@ const std::vector<std::string>& feature_names() {
       "power_law_alpha",      "feature_dim",
       "log_train_nodes",      "link_bandwidth_gbps",
       "device_gflops",        "host_sample_mps",
-      // Declared (host-independent) capabilities of the run's compute
-      // backend; see extract_features' backend_id overload.
-      "backend_rel_throughput", "backend_async_transfer",
   };
   return names;
 }
@@ -170,10 +166,9 @@ hw::IterationVolumes analytic_iteration_volumes(
   return v;
 }
 
-namespace {
-std::vector<double> base_features(const runtime::TrainConfig& config,
-                                  const DatasetStats& stats,
-                                  const hw::HardwareProfile& hw) {
+std::vector<double> extract_features(const runtime::TrainConfig& config,
+                                     const DatasetStats& stats,
+                                     const hw::HardwareProfile& hw) {
   double fanout_sum = 0.0;
   for (int k : config.hop_list) {
     fanout_sum += (k == -1) ? stats.profile.avg_degree
@@ -229,25 +224,6 @@ std::vector<double> base_features(const runtime::TrainConfig& config,
   f.push_back(hw.device.compute_gflops);
   f.push_back(hw.host.sample_throughput_per_s / 1e6);
   return f;
-}
-}  // namespace
-
-std::vector<double> extract_features(const runtime::TrainConfig& config,
-                                     const DatasetStats& stats,
-                                     const hw::HardwareProfile& hw,
-                                     const std::string& backend_id) {
-  std::vector<double> f = base_features(config, stats, hw);
-  const compute::BackendCapabilities caps =
-      compute::BackendFactory::declared_capabilities(backend_id);
-  f.push_back(caps.relative_throughput);
-  f.push_back(caps.supports_async_transfer ? 1.0 : 0.0);
-  return f;
-}
-
-std::vector<double> extract_features(const runtime::TrainConfig& config,
-                                     const DatasetStats& stats,
-                                     const hw::HardwareProfile& hw) {
-  return extract_features(config, stats, hw, compute::kBlockedBackendId);
 }
 
 }  // namespace gnav::estimator

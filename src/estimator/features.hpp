@@ -19,19 +19,9 @@ namespace gnav::estimator {
 /// Ordered feature names (for documentation and debugging).
 const std::vector<std::string>& feature_names();
 
-/// Featurizes (config, dataset, hardware) plus the compute backend the
-/// run executes on. Backend features come from the DECLARED capabilities
-/// of `backend_id` (compute::BackendFactory::declared_capabilities) —
-/// static per id and identical on every host, never the host-resolved
-/// SIMD tier, so fitted models transfer across machines. Unknown ids
-/// featurize as neutral defaults (corpus rows may carry ids this build
-/// does not register).
-std::vector<double> extract_features(const runtime::TrainConfig& config,
-                                     const DatasetStats& stats,
-                                     const hw::HardwareProfile& hw,
-                                     const std::string& backend_id);
-
-/// Back-compat overload: features for the default "cpu-blocked" backend.
+/// Featurizes (config, dataset, hardware). The compute backend is not an
+/// input: every built-in backend gives the same bits, and T and Γ are
+/// simulated, so it cannot move any target.
 std::vector<double> extract_features(const runtime::TrainConfig& config,
                                      const DatasetStats& stats,
                                      const hw::HardwareProfile& hw);

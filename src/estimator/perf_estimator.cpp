@@ -3,20 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compute/backend.hpp"
 #include "estimator/features.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
 namespace gnav::estimator {
 namespace {
-
-/// Corpus rows predating the backend column (and reports from builds
-/// without one) fit as the backend that actually executed them then.
-const std::string& row_backend_id(const ProfiledRun& run) {
-  static const std::string kDefault = compute::kBlockedBackendId;
-  return run.report.backend_id.empty() ? kDefault : run.report.backend_id;
-}
 
 constexpr double kBytesPerGb = 1e9;
 constexpr double kFrameworkOverheadGb = 0.55;  // matches runtime backend
@@ -183,8 +175,7 @@ void PerfEstimator::fit(const std::vector<ProfiledRun>& runs) {
     std::vector<double> y_density;
     std::vector<double> y_work;
     for (const ProfiledRun& run : runs) {
-      x.push_back(
-          extract_features(run.config, run.stats, hw_, row_backend_id(run)));
+      x.push_back(extract_features(run.config, run.stats, hw_));
       y_hit.push_back(run.report.cache_hit_rate);
       const double nodes = std::max(run.report.avg_batch_nodes, 1.0);
       y_density.push_back(
@@ -211,8 +202,7 @@ void PerfEstimator::fit(const std::vector<ProfiledRun>& runs) {
     std::vector<double> y_mem;
     std::vector<double> y_acc;
     for (const ProfiledRun& run : runs) {
-      const auto f =
-          extract_features(run.config, run.stats, hw_, row_backend_id(run));
+      const auto f = extract_features(run.config, run.stats, hw_);
       const double b_nodes =
           batch_model_.predict(run.config, run.stats, hw_);
       const double b_edges =
@@ -247,14 +237,8 @@ void PerfEstimator::fit(const std::vector<ProfiledRun>& runs) {
 
 PerfPrediction PerfEstimator::predict(const runtime::TrainConfig& config,
                                       const DatasetStats& stats) const {
-  return predict(config, stats, compute::kBlockedBackendId);
-}
-
-PerfPrediction PerfEstimator::predict(const runtime::TrainConfig& config,
-                                      const DatasetStats& stats,
-                                      const std::string& backend_id) const {
   GNAV_CHECK(fitted_, "predict before fit");
-  const auto f = extract_features(config, stats, hw_, backend_id);
+  const auto f = extract_features(config, stats, hw_);
   PerfPrediction p;
   p.batch_nodes = batch_model_.predict(config, stats, hw_);
   p.batch_edges = p.batch_nodes * std::exp(density_model_.predict_one(f));

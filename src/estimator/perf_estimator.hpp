@@ -52,13 +52,7 @@ class PerfEstimator {
   /// leave-one-dataset-out corpus + power-law augmentation).
   void fit(const std::vector<ProfiledRun>& runs);
 
-  /// Predicts Perf{T, Γ, Acc} for `config` executing on compute backend
-  /// `backend_id` (features on the backend's DECLARED capabilities; see
-  /// extract_features). The 2-arg overload predicts for the default
-  /// "cpu-blocked" backend — identical output to passing that id.
-  PerfPrediction predict(const runtime::TrainConfig& config,
-                         const DatasetStats& stats,
-                         const std::string& backend_id) const;
+  /// Predicts Perf{T, Γ, Acc} for `config` on `stats`' dataset.
   PerfPrediction predict(const runtime::TrainConfig& config,
                          const DatasetStats& stats) const;
 

@@ -82,7 +82,7 @@ std::vector<ProfiledRun> collect_profiles(const graph::Dataset& dataset,
   GNAV_CHECK(options.configs_per_dataset >= 1, "need at least one config");
   // Resolve the backend on the CALLING thread: pool workers inherit no
   // BackendScope, so current_backend_id() inside the run lambdas would
-  // see the factory default, not the collector caller's pin.
+  // see cpu-blocked, not the collector caller's pin.
   const std::string backend_id = options.backend_id.empty()
                                      ? compute::current_backend_id()
                                      : options.backend_id;

@@ -1,7 +1,7 @@
 // CART regression tree: greedy variance-reduction splits on numeric
 // features. This is the paper's black-box baseline model in Fig. 5
-// ("Decision Tree Regression") and the building block of the forest /
-// boosting ensembles.
+// ("Decision Tree Regression") and the building block of the boosting
+// ensemble.
 #pragma once
 
 #include <vector>

@@ -39,10 +39,10 @@ tensor::Tensor aggregate_gcn(const graph::CsrGraph& g,
 tensor::Tensor aggregate_sum(const graph::CsrGraph& g,
                              const tensor::Tensor& x);
 
-// Scale-vector builders and SpmmScales conventions now live in the
-// compute layer (one definition shared by every backend's aggregate and
-// the layers below); re-exported here because the nn layers cache them
-// across forward/backward and historical call sites spell nn::.
+// Scale-vector builders and SpmmScales conventions live in the compute
+// layer (one definition shared by the wrappers above and the layers);
+// re-exported here because the nn layers cache them across
+// forward/backward and historical call sites spell nn::.
 using compute::gcn_norm_scales;
 using compute::gcn_spmm_scales;
 using compute::inverse_degree_scales;

@@ -199,43 +199,56 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::write_prometheus(std::ostream& os) const {
   const support::MutexLock lock(mu_);
-  std::string last_family;
+  // The text format allows one HELP/TYPE per family with all of its
+  // samples in one group, but registration interleaves families (a
+  // family's second label set can arrive after another family's series).
+  // Group each family's series at the position of its first
+  // registration.
+  std::vector<std::vector<const Series*>> families;
+  std::map<std::string, std::size_t> family_index;
   for (const Series& s : series_) {
-    if (s.family != last_family) {
-      last_family = s.family;
-      if (!s.help.empty()) {
-        os << "# HELP " << s.family << " " << s.help << "\n";
-      }
-      const char* type = s.kind == Kind::kCounter     ? "counter"
-                         : s.kind == Kind::kGauge     ? "gauge"
-                                                      : "histogram";
-      os << "# TYPE " << s.family << " " << type << "\n";
+    const auto [it, fresh] = family_index.emplace(s.family, families.size());
+    if (fresh) families.emplace_back();
+    families[it->second].push_back(&s);
+  }
+  for (const std::vector<const Series*>& family : families) {
+    const Series& first = *family.front();
+    if (!first.help.empty()) {
+      os << "# HELP " << first.family << " " << first.help << "\n";
     }
-    switch (s.kind) {
-      case Kind::kCounter:
-        os << s.family << s.label_text << " " << s.counter->value() << "\n";
-        break;
-      case Kind::kGauge:
-        os << s.family << s.label_text << " "
-           << format_double(s.gauge->value()) << "\n";
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *s.histogram;
-        std::uint64_t cumulative = 0;
-        for (std::size_t b = 0; b <= h.bounds().size(); ++b) {
-          cumulative += h.bucket_count(b);
-          const std::string le = b < h.bounds().size()
-                                     ? format_bound(h.bounds()[b])
-                                     : "+Inf";
-          os << s.family << "_bucket"
-             << render_labels_with(s.label_text, "le", le) << " "
-             << cumulative << "\n";
+    const char* type = first.kind == Kind::kCounter ? "counter"
+                       : first.kind == Kind::kGauge ? "gauge"
+                                                    : "histogram";
+    os << "# TYPE " << first.family << " " << type << "\n";
+    for (const Series* series : family) {
+      const Series& s = *series;
+      switch (s.kind) {
+        case Kind::kCounter:
+          os << s.family << s.label_text << " " << s.counter->value()
+             << "\n";
+          break;
+        case Kind::kGauge:
+          os << s.family << s.label_text << " "
+             << format_double(s.gauge->value()) << "\n";
+          break;
+        case Kind::kHistogram: {
+          const Histogram& h = *s.histogram;
+          std::uint64_t cumulative = 0;
+          for (std::size_t b = 0; b <= h.bounds().size(); ++b) {
+            cumulative += h.bucket_count(b);
+            const std::string le = b < h.bounds().size()
+                                       ? format_bound(h.bounds()[b])
+                                       : "+Inf";
+            os << s.family << "_bucket"
+               << render_labels_with(s.label_text, "le", le) << " "
+               << cumulative << "\n";
+          }
+          os << s.family << "_sum" << s.label_text << " "
+             << format_double(h.sum()) << "\n";
+          os << s.family << "_count" << s.label_text << " "
+             << h.total_count() << "\n";
+          break;
         }
-        os << s.family << "_sum" << s.label_text << " "
-           << format_double(h.sum()) << "\n";
-        os << s.family << "_count" << s.label_text << " " << h.total_count()
-           << "\n";
-        break;
       }
     }
   }

@@ -24,9 +24,11 @@
 //     (pinned by test_obs.cpp).
 //   - Stable references: counter()/gauge()/histogram() return references
 //     that live until process exit — resolve once, update forever.
-//   - Deterministic exposition: snapshot() and write_prometheus() list
-//     series in first-registration order, so single-threaded scenarios
-//     produce byte-identical text across runs.
+//   - Deterministic exposition: snapshot() lists series in
+//     first-registration order; write_prometheus() emits each family
+//     once, at the position of its first registered series, with all of
+//     that family's series under it in registration order. So
+//     single-threaded scenarios produce byte-identical text across runs.
 #pragma once
 
 #include <atomic>
@@ -147,8 +149,10 @@ class MetricsRegistry {
   std::vector<MetricSample> snapshot() const GNAV_EXCLUDES(mu_);
 
   /// Prometheus text exposition format: one # HELP / # TYPE pair per
-  /// family (at its first registered series), series in registration
-  /// order.
+  /// family and every series of the family grouped under it, even when
+  /// registration interleaved it with other families. Families appear in
+  /// order of their first registered series; a family's series in
+  /// registration order.
   void write_prometheus(std::ostream& os) const GNAV_EXCLUDES(mu_);
   std::string prometheus_text() const GNAV_EXCLUDES(mu_);
 

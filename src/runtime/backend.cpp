@@ -119,9 +119,9 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
   // interfere with each other's selection. Stage closures below
   // re-establish the scope because the async executor runs them on fresh
   // stage threads that inherit NO thread-local state — without it they
-  // would fall through to the factory default, which another concurrent
-  // process-setup call could be flipping (the multi-tenant isolation
-  // contract, see serve/job_scheduler.hpp and compute/backend.hpp).
+  // would fall through to cpu-blocked whatever backend the run asked for
+  // (the multi-tenant isolation contract, see serve/job_scheduler.hpp
+  // and compute/backend.hpp).
   const std::shared_ptr<const compute::ComputeBackend> run_backend =
       compute::BackendFactory::create(options.backend_id);
   const compute::BackendScope backend_scope(run_backend);

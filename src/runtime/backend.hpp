@@ -104,7 +104,8 @@ struct TrainReport {
 
   /// Diagnostics.
   /// Compute backend that executed this run (RunOptions::backend_id as
-  /// resolved) — the estimator keys capability features on it.
+  /// resolved). Row provenance only: the corpus CSV records it, and no
+  /// estimator feature or DSE rule reads it.
   std::string backend_id;
   /// Peak bytes outstanding in the backend's device allocator when the
   /// run finished (cache slab included). The allocator is shared by all

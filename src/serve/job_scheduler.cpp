@@ -84,7 +84,7 @@ JobScheduler::JobScheduler(const runtime::RuntimeBackend& backend,
 
 AdmissionPrice JobScheduler::price_locked(const JobRequest& request) const {
   const estimator::PerfPrediction p =
-      estimator_->predict(request.config, stats_, request.backend_id);
+      estimator_->predict(request.config, stats_);
   AdmissionPrice out;
   // The estimator's T already folds Eq. 4's analytic overlap into
   // pipelined configs; divide it back out to recover the serial stage

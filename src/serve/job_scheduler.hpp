@@ -31,14 +31,13 @@
 //
 // Isolation contract: a job NEVER reads or mutates process-global
 // defaults. Each job carries its own RunOptions — explicit compute
-// backend id (resolved per stage thread via compute::BackendScope inside
-// the runtime backend; there is no process-global kernel slot left to
-// bypass it), explicit pipeline config — and a
-// deterministic per-job seed (`task_seed(scheduler seed, job id)` unless
-// the request pins one), so every job's TrainReport is bit-identical to
-// running that job alone even while another tenant flips
-// BackendFactory::set_default_id mid-drain (pinned by test_serve.cpp at
-// pool sizes 1/2/8).
+// backend id (pinned per stage thread via compute::BackendScope inside
+// the runtime backend), explicit pipeline config — and a deterministic
+// per-job seed (`task_seed(scheduler seed, job id)` unless the request
+// pins one), so every job's TrainReport is bit-identical to running that
+// job alone, even next to a concurrent job on another backend (pinned by
+// test_serve.cpp at pool sizes 1/2/8). Admission pricing and navigation
+// never look at the backend: the estimator and the DSE do not see it.
 #pragma once
 
 #include <chrono>
@@ -83,9 +82,10 @@ struct JobRequest {
   /// 0 derives task_seed(scheduler seed, job id) — deterministic and
   /// decorrelated across jobs; nonzero pins the run seed exactly.
   std::uint64_t seed = 0;
-  /// Per-job compute backend. Explicit — never the process default — so
-  /// concurrent jobs with different backends cannot interfere. Validated
-  /// against BackendFactory::is_registered at submit time.
+  /// Per-job compute backend. Explicit — never the submitting thread's
+  /// BackendScope — so concurrent jobs with different backends cannot
+  /// interfere. Validated against BackendFactory::is_registered at submit
+  /// time.
   std::string backend_id = compute::kBlockedBackendId;
   /// Per-job epoch executor selection (sync | async, depth, workers).
   runtime::PipelineConfig pipeline;

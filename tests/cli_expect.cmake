@@ -1,0 +1,62 @@
+# Runs a command and checks how it ended: exit code EXPECT_CODE and every
+# comma-separated substring of EXPECT_OUTPUT somewhere in its combined
+# stdout/stderr. With LINE_REGEX set, the output lines it matches (at
+# their start) are checked too: exactly LINE_COUNT of them, each
+# containing LINE_HAS and none containing LINE_LACKS.
+#
+#   cmake -DEXPECT_CODE=1 -DEXPECT_OUTPUT=needle1,needle2 \
+#         -P cli_expect.cmake -- <command> [args...]
+#   cmake -DEXPECT_CODE=0 "-DLINE_REGEX=  job [0-9]+ " -DLINE_COUNT=2 \
+#         -DLINE_HAS=cpu-scalar -DLINE_LACKS=cpu-blocked \
+#         -P cli_expect.cmake -- <command> [args...]
+set(cmd "")
+set(in_cmd FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(in_cmd)
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+    set(in_cmd TRUE)
+  endif()
+endforeach()
+if(NOT cmd)
+  message(FATAL_ERROR "no command given after --")
+endif()
+
+execute_process(COMMAND ${cmd}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE out)
+message("${out}")
+if(NOT "${code}" STREQUAL "${EXPECT_CODE}")
+  message(FATAL_ERROR "exit code ${code}, expected ${EXPECT_CODE}")
+endif()
+string(REPLACE "," ";" needles "${EXPECT_OUTPUT}")
+foreach(needle IN LISTS needles)
+  string(FIND "${out}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "output lacks \"${needle}\"")
+  endif()
+endforeach()
+
+if(DEFINED LINE_REGEX)
+  string(REGEX MATCHALL "(^|\n)${LINE_REGEX}[^\n]*" lines "${out}")
+  list(LENGTH lines count)
+  if(NOT count EQUAL LINE_COUNT)
+    message(FATAL_ERROR
+            "${count} lines match \"${LINE_REGEX}\", expected ${LINE_COUNT}")
+  endif()
+  foreach(line IN LISTS lines)
+    string(STRIP "${line}" line)
+    string(FIND "${line}" "${LINE_HAS}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "line lacks \"${LINE_HAS}\": ${line}")
+    endif()
+    if(DEFINED LINE_LACKS)
+      string(FIND "${line}" "${LINE_LACKS}" at)
+      if(NOT at EQUAL -1)
+        message(FATAL_ERROR "line has \"${LINE_LACKS}\": ${line}")
+      endif()
+    endif()
+  endforeach()
+endif()

@@ -2,25 +2,24 @@
 // (compute/backend.hpp):
 //
 //   - factory: built-in registration, unknown-id diagnostics, singleton
-//     instances, default-id precedence (env and override), custom
-//     registration;
-//   - capabilities: DECLARED flags are static and host-independent,
-//     instance flags resolve the host's SIMD dispatch;
-//   - SpMM/aggregate conformance: every registered backend reproduces the
+//     instances, custom registration;
+//   - capabilities: an instance resolves the host's SIMD dispatch;
+//   - SpMM conformance: every registered backend reproduces the
 //     cpu-scalar reference BITWISE on every graph family (empty rows,
 //     self-loops, power-law skew), feature dim, and thread count — the
 //     invariant the backend-keyed golden traces stand on;
-//   - BackendScope: thread-local nesting and restoration;
+//   - BackendScope: thread-local nesting and restoration, and a thread
+//     with no scope resolving to cpu-blocked;
 //   - DeviceAllocator accounting and DeviceCache device storage (slots,
 //     admission order, static preload);
 //   - end-to-end: cpu-blocked and cpu-scalar produce bit-identical
 //     TrainReports at pool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -82,65 +81,7 @@ TEST(BackendFactory, InstancesAreProcessWideSingletons) {
   EXPECT_EQ(&a->allocator(), &b->allocator());
 }
 
-// Defined before DefaultIdOverrideValidatesAndRestores: the override it
-// leaves behind would mask GNAV_BACKEND when the whole binary runs in one
-// process.
-TEST(BackendFactory, RemovedBackendIdInEnvFallsBackToBlocked) {
-  const char* saved = std::getenv("GNAV_BACKEND");
-  const std::string previous = saved != nullptr ? saved : "";
-  // A registered id in the environment selects that backend...
-  ASSERT_EQ(::setenv("GNAV_BACKEND", compute::kScalarBackendId, 1), 0);
-  EXPECT_EQ(compute::BackendFactory::default_id(), compute::kScalarBackendId);
-  // ...and an id this build no longer registers (an old deployment's
-  // GNAV_BACKEND=cpu-arena) warns and falls back to cpu-blocked.
-  ASSERT_EQ(::setenv("GNAV_BACKEND", "cpu-arena", 1), 0);
-  EXPECT_FALSE(compute::BackendFactory::is_registered("cpu-arena"));
-  EXPECT_EQ(compute::BackendFactory::default_id(),
-            compute::kBlockedBackendId);
-  if (saved != nullptr) {
-    ::setenv("GNAV_BACKEND", previous.c_str(), 1);
-  } else {
-    ::unsetenv("GNAV_BACKEND");
-  }
-}
-
-TEST(BackendFactory, DefaultIdOverrideValidatesAndRestores) {
-  const std::string previous = compute::BackendFactory::default_id();
-  EXPECT_THROW(compute::BackendFactory::set_default_id("gpu-imaginary"),
-               Error);
-  EXPECT_EQ(compute::BackendFactory::default_id(), previous);
-  compute::BackendFactory::set_default_id(compute::kScalarBackendId);
-  EXPECT_EQ(compute::BackendFactory::default_id(), compute::kScalarBackendId);
-  // No BackendScope active on this thread → the default is what
-  // current_backend() resolves to.
-  EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
-  compute::BackendFactory::set_default_id(previous);
-  EXPECT_EQ(compute::BackendFactory::default_id(), previous);
-}
-
 // -------------------------------------------------------- capabilities
-
-TEST(BackendCapabilities, DeclaredFlagsAreStaticPerId) {
-  const auto scalar = compute::BackendFactory::declared_capabilities(
-      compute::kScalarBackendId);
-  EXPECT_EQ(scalar.simd_tier, "portable");
-  EXPECT_DOUBLE_EQ(scalar.relative_throughput, 1.0);
-  EXPECT_FALSE(scalar.supports_async_transfer);
-
-  const auto blocked = compute::BackendFactory::declared_capabilities(
-      compute::kBlockedBackendId);
-  EXPECT_EQ(blocked.simd_tier, "auto");
-  EXPECT_GT(blocked.relative_throughput, 1.0);
-  EXPECT_TRUE(blocked.supports_async_transfer);
-
-  // Unknown ids featurize as neutral defaults (corpus files may carry
-  // ids this build does not register) — never a throw.
-  const auto unknown =
-      compute::BackendFactory::declared_capabilities("gpu-imaginary");
-  EXPECT_EQ(unknown.simd_tier, "portable");
-  EXPECT_DOUBLE_EQ(unknown.relative_throughput, 1.0);
-  EXPECT_FALSE(unknown.supports_async_transfer);
-}
 
 TEST(BackendCapabilities, InstanceResolvesHostSimdTier) {
   const auto scalar =
@@ -157,17 +98,24 @@ TEST(BackendCapabilities, InstanceResolvesHostSimdTier) {
 // --------------------------------------------------------- BackendScope
 
 TEST(BackendScope, NestsAndRestoresPerThread) {
-  const std::string before = compute::current_backend_id();
+  // No scope on this thread: the one fallback is cpu-blocked.
+  EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
   {
     compute::BackendScope outer(compute::kScalarBackendId);
     EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
+    // The pin is thread-local: a fresh thread has no scope and resolves
+    // to cpu-blocked while this thread is pinned to cpu-scalar.
+    std::string fresh_thread_id;
+    std::thread([&] { fresh_thread_id = compute::current_backend_id(); })
+        .join();
+    EXPECT_EQ(fresh_thread_id, compute::kBlockedBackendId);
     {
       compute::BackendScope inner(compute::kBlockedBackendId);
       EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
     }
     EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
   }
-  EXPECT_EQ(compute::current_backend_id(), before);
+  EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
 }
 
 // ---------------------------------------------------- SpMM conformance
@@ -247,9 +195,7 @@ class EchoBackend final : public compute::ComputeBackend {
     static const std::string kId = "test-echo";
     return kId;
   }
-  compute::BackendCapabilities capabilities() const override {
-    return compute::BackendFactory::declared_capabilities("test-echo");
-  }
+  compute::BackendCapabilities capabilities() const override { return {}; }
   compute::DeviceAllocator& allocator() const override {
     return compute::BackendFactory::create(compute::kScalarBackendId)
         ->allocator();
@@ -267,21 +213,13 @@ std::shared_ptr<compute::ComputeBackend> make_echo_backend() {
 }
 
 TEST(BackendRegistration, CustomBackendRegistersAndResolves) {
-  compute::BackendCapabilities declared;
-  declared.simd_tier = "portable";
-  declared.relative_throughput = 0.5;
-  compute::BackendFactory::register_backend("test-echo", declared,
-                                            &make_echo_backend);
+  compute::BackendFactory::register_backend("test-echo", &make_echo_backend);
   EXPECT_TRUE(compute::BackendFactory::is_registered("test-echo"));
-  EXPECT_DOUBLE_EQ(
-      compute::BackendFactory::declared_capabilities("test-echo")
-          .relative_throughput,
-      0.5);
   const auto backend = compute::BackendFactory::create("test-echo");
   EXPECT_EQ(backend->id(), "test-echo");
   // Duplicate ids are a registration bug, not a silent overwrite.
-  EXPECT_THROW(compute::BackendFactory::register_backend(
-                   "test-echo", declared, &make_echo_backend),
+  EXPECT_THROW(compute::BackendFactory::register_backend("test-echo",
+                                                         &make_echo_backend),
                Error);
   // The custom backend is a first-class citizen: scoping to it routes
   // the nn wrappers through its spmm.
@@ -337,10 +275,7 @@ std::shared_ptr<compute::ComputeBackend> make_delegating_creator_backend() {
 }
 
 TEST(BackendRegistration, CreatorMayReenterFactoryWithoutDeadlock) {
-  compute::BackendCapabilities declared;
-  declared.simd_tier = "portable";
   compute::BackendFactory::register_backend("test-delegating-creator",
-                                            declared,
                                             &make_delegating_creator_backend);
   const auto backend =
       compute::BackendFactory::create("test-delegating-creator");

@@ -6,7 +6,9 @@
 // train real models, so this is the slowest test file).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -220,8 +222,8 @@ TEST_F(EstimatorFixture, CorpusRoundTripsThroughCsv) {
     EXPECT_EQ(OverlapModel::row_eligible(loaded[i]),
               OverlapModel::row_eligible((*corpus_)[i]));
     // v3: the compute-backend id survives the round-trip (blank cells
-    // would fit as the factory default, but the collector always stamps
-    // the resolved id).
+    // would load as cpu-blocked, but the collector always stamps the
+    // resolved id).
     EXPECT_EQ(loaded[i].report.backend_id, (*corpus_)[i].report.backend_id);
     EXPECT_FALSE(loaded[i].report.backend_id.empty());
     // NaN-free contract: every wall/stall cell parses to a finite value
@@ -308,8 +310,8 @@ TEST_F(EstimatorFixture, LegacyV1CorpusMigratesWithSyncDefaults) {
 TEST_F(EstimatorFixture, V2CorpusMigratesWithDefaultBackendAndV3RoundTrips) {
   // Part 1 — v2 migration: rewrite a v3 file into the v2 layout (v2
   // version token, no backend column) and load it. Every row must come
-  // back with backend "cpu-blocked" — the factory default all pre-backend
-  // runs executed on — with the executor columns intact.
+  // back with backend "cpu-blocked" — the backend all pre-backend runs
+  // executed on — with the executor columns intact.
   const std::string v3_path = "test_corpus_v3_mig.csv";
   const std::string v2_path = "test_corpus_v2_mig.csv";
   save_corpus(*corpus_, v3_path);
@@ -366,17 +368,23 @@ TEST_F(EstimatorFixture, V2CorpusMigratesWithDefaultBackendAndV3RoundTrips) {
     EXPECT_EQ(reloaded[i].report.backend_id,
               i % 2 == 1 ? "cpu-arena" : "cpu-blocked");
   }
-  // Part 3 — rows naming an id this build no longer registers (cpu-arena
-  // was removed) featurize with neutral declared capabilities: the
-  // corpus still fits, and predictions for either id stay finite.
-  PerfEstimator est(*hw_);
-  ASSERT_NO_THROW(est.fit(reloaded));
-  for (const ProfiledRun& run : reloaded) {
-    const PerfPrediction p =
-        est.predict(run.config, run.stats, run.report.backend_id);
-    EXPECT_TRUE(std::isfinite(p.time_s)) << run.report.backend_id;
-    EXPECT_TRUE(std::isfinite(p.memory_gb)) << run.report.backend_id;
-    EXPECT_TRUE(std::isfinite(p.accuracy)) << run.report.backend_id;
+  // Part 3 — the backend column is provenance only. An estimator fitted
+  // on the all-cpu-blocked rows and one fitted on the same rows with
+  // every odd one relabeled (to an id this build no longer registers)
+  // predict the same bits for every corpus config.
+  PerfEstimator on_migrated(*hw_);
+  on_migrated.fit(migrated);
+  PerfEstimator on_upgraded(*hw_);
+  on_upgraded.fit(upgraded);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < migrated.size(); ++i) {
+    const ProfiledRun& run = migrated[i];
+    const PerfPrediction a = on_migrated.predict(run.config, run.stats);
+    const PerfPrediction b = on_upgraded.predict(run.config, run.stats);
+    EXPECT_EQ(bits(a.time_s), bits(b.time_s)) << "row " << i;
+    EXPECT_EQ(bits(a.memory_gb), bits(b.memory_gb)) << "row " << i;
+    EXPECT_EQ(bits(a.accuracy), bits(b.accuracy)) << "row " << i;
+    EXPECT_EQ(bits(a.overlap_ratio), bits(b.overlap_ratio)) << "row " << i;
   }
   std::remove(v3_path.c_str());
   std::remove(v2_path.c_str());

@@ -48,10 +48,11 @@ struct GoldenCase {
   double predicted_accuracy;
   double final_epoch_loss;    // train(config, 2 epochs, seed 1)
   /// Compute backend the whole trace executes under: goldens are keyed
-  /// by backend id. cpu-blocked is the production backend (cpu-scalar
-  /// declares different capabilities, so the DSE decides differently on
-  /// it); a future backend with a different accumulation order gets its
-  /// own rows here, not a tolerance.
+  /// by backend id. cpu-blocked is the production backend; cpu-scalar
+  /// gives the same bits and the estimator and DSE never see the
+  /// backend, so the cpu-blocked rows pin it too. A future backend with
+  /// a different accumulation order gets its own rows here, not a
+  /// tolerance.
   const char* backend = compute::kBlockedBackendId;
 };
 

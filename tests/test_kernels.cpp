@@ -118,7 +118,7 @@ TEST(SpmmEquivalence, BlockedMatchesScalarBitwiseEverywhere) {
   const std::size_t pool_sizes[] = {1, 2, 8};
   // Every SIMD tier of the blocked kernel must reproduce the scalar
   // reference bitwise — this is what makes the CPU's ISA (and the
-  // GNAV_BACKEND selection) invisible to golden traces.
+  // compute-backend choice) invisible to golden traces.
   const support::SimdTier tiers[] = {support::SimdTier::kPortable,
                                      support::SimdTier::kSse,
                                      support::SimdTier::kAuto};

@@ -1,11 +1,11 @@
 // Tests for the telemetry layer (gnav::obs): the metrics registry
-// (instrument semantics, find-or-create identity, Prometheus text,
-// deterministic exposition order), scoped trace spans (per-thread
-// buffers, nesting across pool workers and pipeline stage threads,
-// Chrome trace-event JSON round trip), and the layer's two hard
-// contracts — TrainReports are bit-identical with telemetry on vs off,
-// and the data-bearing metric families are bit-identical across pool
-// sizes {1, 2, 8}.
+// (instrument semantics, find-or-create identity, Prometheus text with
+// one header per family, deterministic exposition order), scoped trace
+// spans (per-thread buffers, nesting across pool workers and pipeline
+// stage threads, Chrome trace-event JSON round trip), and the layer's
+// two hard contracts — TrainReports are bit-identical with telemetry on
+// vs off, and the data-bearing metric families are bit-identical across
+// pool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,6 +140,31 @@ TEST(ObsMetrics, PrometheusTextRegistrationOrderAndEscaping) {
   ASSERT_NE(i1, names.end());
   ASSERT_NE(i2, names.end());
   EXPECT_LT(i1 - names.begin(), i2 - names.begin());
+}
+
+TEST(ObsMetrics, PrometheusGroupsInterleavedFamilies) {
+  // Family a's second series registers after family b's: the text still
+  // carries one HELP/TYPE per family with its samples contiguous (a
+  // Prometheus parser rejects a second TYPE line for a family).
+  const TelemetryOn on;
+  MetricsRegistry reg;
+  reg.counter("test_obs_a_total", {{"k", "1"}}, "family a").add(1);
+  reg.counter("test_obs_b_total", {{"k", "1"}}, "family b").add(2);
+  reg.counter("test_obs_a_total", {{"k", "2"}}, "family a").add(3);
+  EXPECT_EQ(reg.prometheus_text(),
+            "# HELP test_obs_a_total family a\n"
+            "# TYPE test_obs_a_total counter\n"
+            "test_obs_a_total{k=\"1\"} 1\n"
+            "test_obs_a_total{k=\"2\"} 3\n"
+            "# HELP test_obs_b_total family b\n"
+            "# TYPE test_obs_b_total counter\n"
+            "test_obs_b_total{k=\"1\"} 2\n");
+  // snapshot() keeps plain registration order.
+  std::vector<std::string> names;
+  for (const auto& sample : reg.snapshot()) names.push_back(sample.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"test_obs_a_total{k=\"1\"}",
+                                             "test_obs_b_total{k=\"1\"}",
+                                             "test_obs_a_total{k=\"2\"}"}));
 }
 
 TEST(ObsMetrics, HistogramPrometheusBucketsAreCumulative) {

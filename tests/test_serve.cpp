@@ -9,8 +9,8 @@
 //     TrainReport whose data fields are identical to running the job
 //     alone (timing fields excluded), at pool sizes {1, 2, 8};
 //   - backend isolation: concurrent jobs with different compute backend
-//     ids never read each other's (or the factory-default) selection —
-//     covered by the TSan CI job together with the rest of this file;
+//     ids never read each other's selection — covered by the TSan CI job
+//     together with the rest of this file;
 //   - online feedback: drain() folds completed jobs back into the corpus
 //     and refits, flipping admission pricing from the analytic fallback
 //     to the fitted overlap model;
@@ -400,15 +400,11 @@ TEST_F(ServeContention, ReportsMatchSoloAtPoolSizes1_2_8) {
 
 using ServeSpmmIsolation = ServeFixture;
 
-TEST_F(ServeSpmmIsolation, ConcurrentBackendsIgnoreHostileDefaultFlip) {
-  // Flip the factory-wide default BEFORE the jobs run: if any stage
-  // thread consulted it instead of the job's pinned BackendScope, the
-  // scalar and blocked jobs would trample each other (and TSan would see
-  // the jobs racing the flip). Both must still match their solo runs
-  // bit-for-bit.
-  const std::string previous = compute::BackendFactory::default_id();
-  compute::BackendFactory::set_default_id(compute::kScalarBackendId);
-
+TEST_F(ServeSpmmIsolation, ConcurrentBackendsMatchTheirSoloRuns) {
+  // A cpu-blocked and a cpu-scalar job run side by side on one pool,
+  // both pipelined under the async executor (any backend can run a
+  // pipelined config). Each must report its own backend and match its
+  // solo run bit-for-bit.
   support::ThreadPool pool(4);
   SchedulerOptions options;
   options.pool = &pool;
@@ -423,7 +419,6 @@ TEST_F(ServeSpmmIsolation, ConcurrentBackendsIgnoreHostileDefaultFlip) {
   const std::size_t b_id = sched.submit(blocked);
   const std::size_t s_id = sched.submit(scalar);
   sched.drain();
-  compute::BackendFactory::set_default_id(previous);
 
   ASSERT_EQ(sched.outcome(b_id).state, JobState::kDone);
   ASSERT_EQ(sched.outcome(s_id).state, JobState::kDone);

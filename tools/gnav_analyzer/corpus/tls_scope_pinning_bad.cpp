@@ -1,6 +1,7 @@
 // Known-bad: std::thread bodies reach kernel code with no BackendScope
 // pinned first — fresh threads inherit no thread-local backend
-// selection, so these silently compute on the factory default.
+// selection, so these silently compute on cpu-blocked whatever the
+// caller pinned.
 #include "gnav_stub.hpp"
 
 namespace {
