@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels under the
 // runtime backend: neighbor sampling, sparse aggregation, dense matmul,
-// dropout, the ReLU gradient, cache lookups, and full train steps. These
-// are CPU-substrate numbers, not paper figures — they document where
-// simulator time goes.
+// dropout, the ReLU gradient, cache lookups, full train steps, and the
+// DSE's Pareto front. These are CPU-substrate numbers, not paper figures
+// — they document where simulator time goes.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "cache/device_cache.hpp"
+#include "dse/pareto.hpp"
 #include "graph/dataset.hpp"
 #include "graph/generators.hpp"
 #include "kernels/spmm.hpp"
@@ -265,6 +268,36 @@ BENCHMARK(BM_GnnTrainStep)
     ->Arg(static_cast<int>(nn::ModelKind::kGcn))
     ->Arg(static_cast<int>(nn::ModelKind::kSage))
     ->Arg(static_cast<int>(nn::ModelKind::kGat));
+
+/// pareto_front over n predicted Perfs; 10950 is the feasible set of a
+/// full-space query in the navigate-sweep benchmark. Costlier configs are
+/// slower, bigger and more accurate (T and Γ correlated, Acc opposing
+/// them), and values are rounded as predictions are, so there are ties.
+void BM_ParetoFront(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  const auto round_to = [](double v, double step) {
+    return std::round(v / step) * step;
+  };
+  std::vector<dse::PerfPoint> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cost = rng.uniform();
+    points.push_back({round_to(1.0 + 20.0 * cost + rng.uniform(0, 4), 1.0),
+                      round_to(0.5 + 8.0 * cost + rng.uniform(0, 2), 0.5),
+                      round_to(0.5 + 0.3 * cost + rng.uniform(0, 0.1), 0.01)});
+  }
+  std::size_t front = 0;
+  for (auto _ : state) {
+    const std::vector<std::size_t> kept = dse::pareto_front(points);
+    front = kept.size();
+    benchmark::DoNotOptimize(kept.data());
+  }
+  state.counters["front"] = static_cast<double>(front);
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+}
+BENCHMARK(BM_ParetoFront)->Arg(1000)->Arg(10950)->Unit(
+    benchmark::kMillisecond);
 
 }  // namespace
 

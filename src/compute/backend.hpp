@@ -192,6 +192,7 @@ class BackendFactory {
 
 /// Backend the calling thread currently resolves to: the innermost
 /// active BackendScope on this thread, else "cpu-blocked".
+/// current_backend_id() names it without creating it.
 const ComputeBackend& current_backend();
 std::string current_backend_id();
 

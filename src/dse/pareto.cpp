@@ -1,19 +1,29 @@
 #include "dse/pareto.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
+
 namespace gnav::dse {
 namespace {
 
-/// Projects a point to (minimize, minimize) coordinates for a plane.
-std::pair<double, double> project(const PerfPoint& p, Plane plane) {
+bool has_nan(const PerfPoint& p) {
+  return std::isnan(p.time_s) || std::isnan(p.memory_gb) ||
+         std::isnan(p.accuracy);
+}
+
+/// Projects a point to a 3-D point whose dominance is the plane's 2-D
+/// dominance: (minimize, minimize) coordinates and a constant accuracy.
+PerfPoint project(const PerfPoint& p, Plane plane) {
   switch (plane) {
     case Plane::kTimeMemory:
-      return {p.time_s, p.memory_gb};
+      return {p.time_s, p.memory_gb, 0.0};
     case Plane::kMemoryAccuracy:
-      return {p.memory_gb, -p.accuracy};
+      return {p.memory_gb, -p.accuracy, 0.0};
     case Plane::kTimeAccuracy:
-      return {p.time_s, -p.accuracy};
+      return {p.time_s, -p.accuracy, 0.0};
   }
-  return {0.0, 0.0};
+  return {};
 }
 
 }  // namespace
@@ -28,33 +38,37 @@ bool dominates(const PerfPoint& a, const PerfPoint& b) {
 }
 
 std::vector<std::size_t> pareto_front(const std::vector<PerfPoint>& points) {
+  // NaN points start the front: they dominate nothing, so checking new
+  // points against them too changes nothing.
   std::vector<std::size_t> front;
+  std::vector<std::size_t> order;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
-      if (j != i && dominates(points[j], points[i])) dominated = true;
-    }
+    (has_nan(points[i]) ? front : order).push_back(i);
+  }
+  // Every dominator of a point sorts before it (see pareto.hpp).
+  const auto key = [&](std::size_t i) {
+    const PerfPoint& p = points[i];
+    return std::tuple(p.time_s, p.memory_gb, -p.accuracy, i);
+  };
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
+  for (const std::size_t i : order) {
+    const bool dominated =
+        std::any_of(front.begin(), front.end(), [&](std::size_t k) {
+          return dominates(points[k], points[i]);
+        });
     if (!dominated) front.push_back(i);
   }
+  std::sort(front.begin(), front.end());
   return front;
 }
 
 std::vector<std::size_t> pareto_front_2d(const std::vector<PerfPoint>& points,
                                          Plane plane) {
-  std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto [xi, yi] = project(points[i], plane);
-    bool dominated = false;
-    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
-      if (j == i) continue;
-      const auto [xj, yj] = project(points[j], plane);
-      const bool no_worse = xj <= xi && yj <= yi;
-      const bool strictly = xj < xi || yj < yi;
-      if (no_worse && strictly) dominated = true;
-    }
-    if (!dominated) front.push_back(i);
-  }
-  return front;
+  std::vector<PerfPoint> projected;
+  projected.reserve(points.size());
+  for (const PerfPoint& p : points) projected.push_back(project(p, plane));
+  return pareto_front(projected);
 }
 
 }  // namespace gnav::dse

@@ -114,15 +114,13 @@ MetricsRegistry& MetricsRegistry::global() {
 MetricsRegistry::Series& MetricsRegistry::find_or_create(
     const std::string& family, const Labels& labels, const std::string& help,
     Kind kind) {
+  const auto family_it = family_kinds_.emplace(family, kind).first;
+  GNAV_CHECK(family_it->second == kind,
+             "metric family \"" + family +
+                 "\" already registered with a different instrument kind");
   const std::string key = family + render_labels(labels);
   const auto it = index_.find(key);
-  if (it != index_.end()) {
-    Series& s = series_[it->second];
-    GNAV_CHECK(s.kind == kind,
-               "metric series \"" + key +
-                   "\" already registered with a different instrument kind");
-    return s;
-  }
+  if (it != index_.end()) return series_[it->second];
   series_.emplace_back();
   Series& s = series_.back();
   s.family = family;

@@ -131,9 +131,10 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& global();
 
-  /// Find-or-create. The (family, labels) pair is the series key; asking
-  /// for an existing key with a different instrument kind throws
-  /// gnav::Error. Returned references are valid for the process lifetime.
+  /// Find-or-create. The (family, labels) pair is the series key. A
+  /// family has one instrument kind: asking for any of its label sets
+  /// with a different kind throws gnav::Error naming the family.
+  /// Returned references are valid for the process lifetime.
   Counter& counter(const std::string& family, const Labels& labels,
                    const std::string& help) GNAV_EXCLUDES(mu_);
   Gauge& gauge(const std::string& family, const Labels& labels,
@@ -186,6 +187,8 @@ class MetricsRegistry {
   std::deque<Series> series_ GNAV_GUARDED_BY(mu_);
   /// family+label_text -> index into series_.
   std::map<std::string, std::size_t> index_ GNAV_GUARDED_BY(mu_);
+  /// family -> the kind of its first registration.
+  std::map<std::string, Kind> family_kinds_ GNAV_GUARDED_BY(mu_);
 };
 
 }  // namespace gnav::obs

@@ -2,13 +2,19 @@
 # comma-separated substring of EXPECT_OUTPUT somewhere in its combined
 # stdout/stderr. With LINE_REGEX set, the output lines it matches (at
 # their start) are checked too: exactly LINE_COUNT of them, each
-# containing LINE_HAS and none containing LINE_LACKS.
+# containing LINE_HAS and none containing LINE_LACKS. With CHECK_FILE
+# set (an absolute path the command writes), the file is removed before
+# the run and must exist after it, containing FILE_HAS and not
+# FILE_LACKS.
 #
 #   cmake -DEXPECT_CODE=1 -DEXPECT_OUTPUT=needle1,needle2 \
 #         -P cli_expect.cmake -- <command> [args...]
 #   cmake -DEXPECT_CODE=0 "-DLINE_REGEX=  job [0-9]+ " -DLINE_COUNT=2 \
 #         -DLINE_HAS=cpu-scalar -DLINE_LACKS=cpu-blocked \
 #         -P cli_expect.cmake -- <command> [args...]
+#   cmake -DEXPECT_CODE=0 -DCHECK_FILE=/abs/m.prom -DFILE_HAS=cpu-scalar \
+#         -DFILE_LACKS=cpu-blocked \
+#         -P cli_expect.cmake -- <command> --metrics-out /abs/m.prom
 set(cmd "")
 set(in_cmd FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -23,6 +29,9 @@ if(NOT cmd)
   message(FATAL_ERROR "no command given after --")
 endif()
 
+if(DEFINED CHECK_FILE)
+  file(REMOVE "${CHECK_FILE}")
+endif()
 execute_process(COMMAND ${cmd}
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE out
@@ -59,4 +68,19 @@ if(DEFINED LINE_REGEX)
       endif()
     endif()
   endforeach()
+endif()
+
+if(DEFINED CHECK_FILE)
+  if(NOT EXISTS "${CHECK_FILE}")
+    message(FATAL_ERROR "${CHECK_FILE} was not written")
+  endif()
+  file(READ "${CHECK_FILE}" content)
+  string(FIND "${content}" "${FILE_HAS}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${CHECK_FILE} lacks \"${FILE_HAS}\"")
+  endif()
+  string(FIND "${content}" "${FILE_LACKS}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "${CHECK_FILE} has \"${FILE_LACKS}\"")
+  endif()
 endif()

@@ -3,7 +3,9 @@
 // pruning soundness, and decision-maker preset behavior.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "dse/decision_maker.hpp"
 #include "dse/design_space.hpp"
@@ -125,6 +127,119 @@ TEST(Pareto, TwoDimensionalProjections) {
   const auto ta = pareto_front_2d(points, Plane::kTimeAccuracy);
   EXPECT_TRUE(std::set<std::size_t>(ta.begin(), ta.end()).contains(0));
   EXPECT_FALSE(std::set<std::size_t>(ta.begin(), ta.end()).contains(3));
+}
+
+// The all-pairs scans that pareto_front and pareto_front_2d replaced,
+// kept verbatim as the reference their index vectors must equal.
+std::vector<std::size_t> quadratic_front(const std::vector<PerfPoint>& points) {
+  std::vector<std::size_t> front;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
+      if (j != i && dominates(points[j], points[i])) dominated = true;
+    }
+    if (!dominated) front.push_back(i);
+  }
+  return front;
+}
+
+std::pair<double, double> quadratic_project(const PerfPoint& p, Plane plane) {
+  switch (plane) {
+    case Plane::kTimeMemory:
+      return {p.time_s, p.memory_gb};
+    case Plane::kMemoryAccuracy:
+      return {p.memory_gb, -p.accuracy};
+    case Plane::kTimeAccuracy:
+      return {p.time_s, -p.accuracy};
+  }
+  return {0.0, 0.0};
+}
+
+std::vector<std::size_t> quadratic_front_2d(
+    const std::vector<PerfPoint>& points, Plane plane) {
+  std::vector<std::size_t> front;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto [xi, yi] = quadratic_project(points[i], plane);
+    bool dominated = false;
+    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
+      if (j == i) continue;
+      const auto [xj, yj] = quadratic_project(points[j], plane);
+      const bool no_worse = xj <= xi && yj <= yi;
+      const bool strictly = xj < xi || yj < yi;
+      if (no_worse && strictly) dominated = true;
+    }
+    if (!dominated) front.push_back(i);
+  }
+  return front;
+}
+
+double& coordinate(PerfPoint& p, int c) {
+  return c == 0 ? p.time_s : c == 1 ? p.memory_gb : p.accuracy;
+}
+
+/// n points whose coordinates are drawn from `values` (index c holds the
+/// choices for coordinate c), so small choice sets give many ties.
+std::vector<PerfPoint> drawn_points(
+    std::size_t n, const std::vector<std::vector<double>>& values, Rng& rng) {
+  std::vector<PerfPoint> points(n);
+  for (PerfPoint& p : points) {
+    for (int c = 0; c < 3; ++c) {
+      const auto& choices = values[static_cast<std::size_t>(c)];
+      coordinate(p, c) = choices[rng.uniform_index(choices.size())];
+    }
+  }
+  return points;
+}
+
+TEST(Pareto, FrontMatchesQuadraticReference) {
+  std::vector<std::pair<std::string, std::vector<PerfPoint>>> inputs;
+  Rng rng(29);
+  for (const int n : {0, 1, 2, 17, 500, 4000}) {
+    std::vector<PerfPoint> cloud;
+    for (int i = 0; i < n; ++i) {
+      cloud.push_back(
+          {rng.uniform(1, 10), rng.uniform(1, 10), rng.uniform(0.3, 1.0)});
+    }
+    inputs.emplace_back("random cloud n=" + std::to_string(n), cloud);
+  }
+  const std::vector<std::vector<double>> grid = {
+      {1.0, 2.0, 3.0}, {1.0, 2.0, 3.0}, {0.5, 0.7, 0.9}};
+  inputs.emplace_back("3x3x3 grid", drawn_points(300, grid, rng));
+  const std::vector<double> zeros = {-0.0, 0.0, 1.0};
+  inputs.emplace_back("signed zeros",
+                      drawn_points(200, {zeros, zeros, zeros}, rng));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int c = 0; c < 3; ++c) {
+    std::vector<std::vector<double>> with_inf = grid;
+    with_inf[static_cast<std::size_t>(c)].push_back(inf);
+    with_inf[static_cast<std::size_t>(c)].push_back(-inf);
+    inputs.emplace_back("inf in coordinate " + std::to_string(c),
+                        drawn_points(200, with_inf, rng));
+    std::vector<std::vector<double>> with_nan = grid;
+    with_nan[static_cast<std::size_t>(c)].push_back(nan);
+    inputs.emplace_back("NaN in coordinate " + std::to_string(c),
+                        drawn_points(200, with_nan, rng));
+  }
+  inputs.emplace_back("all equal",
+                      std::vector<PerfPoint>(50, PerfPoint{2.0, 3.0, 0.8}));
+  std::vector<PerfPoint> anti;
+  for (int i = 0; i < 100; ++i) {
+    anti.push_back({1.0 + i, 100.0 - i, 0.5 + 0.001 * i});
+  }
+  inputs.emplace_back("anti-correlated", anti);
+  ASSERT_EQ(quadratic_front(anti).size(), anti.size());  // all on the front
+
+  for (const auto& [what, points] : inputs) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(pareto_front(points), quadratic_front(points));
+    for (const Plane plane : {Plane::kTimeMemory, Plane::kMemoryAccuracy,
+                              Plane::kTimeAccuracy}) {
+      SCOPED_TRACE("plane " + std::to_string(static_cast<int>(plane)));
+      EXPECT_EQ(pareto_front_2d(points, plane),
+                quadratic_front_2d(points, plane));
+    }
+  }
 }
 
 TEST(DecisionMaker, PresetsEmphasizeTheirMetrics) {

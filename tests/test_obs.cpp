@@ -95,8 +95,28 @@ TEST(ObsMetrics, KindMismatchOnSameSeriesThrows) {
   auto& reg = MetricsRegistry::global();
   reg.counter("test_obs_kind_clash", {{"a", "b"}}, "help");
   EXPECT_THROW(reg.gauge("test_obs_kind_clash", {{"a", "b"}}, "help"), Error);
-  // Same family with different labels is a different series — any kind.
+  // Another family may use any kind.
   EXPECT_NO_THROW(reg.gauge("test_obs_kind_clash2", {{"a", "c"}}, "help"));
+}
+
+TEST(ObsMetrics, KindMismatchAcrossLabelsOfAFamilyThrows) {
+  // A family has one TYPE line, so every label set of it has one kind.
+  MetricsRegistry reg;
+  reg.counter("test_obs_family_kind_total", {{"k", "1"}}, "help");
+  try {
+    reg.gauge("test_obs_family_kind_total", {{"k", "2"}}, "help");
+    ADD_FAILURE() << "a gauge registered into a counter family";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("test_obs_family_kind_total"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(
+      reg.histogram("test_obs_family_kind_total", {}, "help", {1.0}), Error);
+  EXPECT_EQ(reg.series_count(), 1u);
+  EXPECT_NO_THROW(
+      reg.counter("test_obs_family_kind_total", {{"k", "2"}}, "help"));
+  EXPECT_EQ(reg.series_count(), 2u);
 }
 
 TEST(ObsMetrics, PrometheusTextRegistrationOrderAndEscaping) {
