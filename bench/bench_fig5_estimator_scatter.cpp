@@ -32,8 +32,8 @@ int main() {
 
   estimator::GrayBoxBatchSizeEstimator gray;
   estimator::BlackBoxBatchSizeEstimator black;
-  gray.fit(corpus);
-  black.fit(corpus);
+  gray.fit(corpus, hw);
+  black.fit(corpus, hw);
 
   // Held-out evaluation runs on reddit2.
   const auto ds = graph::load_dataset("reddit2");

@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels under the
 // runtime backend: neighbor sampling, sparse aggregation, dense matmul,
 // dropout, the ReLU gradient, cache lookups, full train steps, and the
-// DSE's Pareto front. These are CPU-substrate numbers, not paper figures
-// — they document where simulator time goes.
+// DSE's boosted-ensemble predictions and Pareto front. These are
+// CPU-substrate numbers, not paper figures — they document where
+// simulator time goes.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include "graph/dataset.hpp"
 #include "graph/generators.hpp"
 #include "kernels/spmm.hpp"
+#include "ml/gradient_boosting.hpp"
 #include "nn/aggregate.hpp"
 #include "nn/model.hpp"
 #include "sampling/sampler_factory.hpp"
@@ -268,6 +270,49 @@ BENCHMARK(BM_GnnTrainStep)
     ->Arg(static_cast<int>(nn::ModelKind::kGcn))
     ->Arg(static_cast<int>(nn::ModelKind::kSage))
     ->Arg(static_cast<int>(nn::ModelKind::kGat));
+
+/// One boosted ensemble's predictions for a full-space DSE query: 10950
+/// rows of 31 features, the estimator's row width. arg: boosting shape,
+/// 0 = 40 rounds of depth 2 fitted on 32 rows (the shape of a
+/// leave-one-dataset-out corpus under 96 rows), 1 = the default 80 rounds
+/// of depth 3 fitted on 128 rows.
+void BM_EnsemblePredict(benchmark::State& state) {
+  constexpr std::size_t kFeatures = 31;
+  const bool small = state.range(0) == 0;
+  ml::BoostingParams params;
+  if (small) {
+    params.num_rounds = 40;
+    params.learning_rate = 0.1;
+    params.tree.max_depth = 2;
+    params.tree.min_samples_leaf = 4;
+    params.tree.min_samples_split = 8;
+  }
+  Rng rng(13);
+  const auto draw_rows = [&](std::size_t n) {
+    ml::Matrix x(n, std::vector<double>(kFeatures));
+    for (auto& row : x) {
+      for (double& v : row) v = rng.uniform();
+    }
+    return x;
+  };
+  const ml::Matrix train = draw_rows(small ? 32 : 128);
+  std::vector<double> y;
+  for (const auto& row : train) {
+    y.push_back(std::sin(3.0 * row[0]) + row[1] * row[2] +
+                (row[5] > 0.5 ? 1.0 : 0.0) + 0.1 * rng.normal());
+  }
+  ml::GradientBoostingRegressor model(params);
+  model.fit(train, y);
+  const ml::Matrix rows = draw_rows(10950);
+  for (auto _ : state) {
+    const std::vector<double> out = model.predict(rows);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["rounds"] = static_cast<double>(model.round_count());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(rows.size()));
+}
+BENCHMARK(BM_EnsemblePredict)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// pareto_front over n predicted Perfs; 10950 is the feasible set of a
 /// full-space query in the navigate-sweep benchmark. Costlier configs are

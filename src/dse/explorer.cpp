@@ -1,5 +1,7 @@
 #include "dse/explorer.hpp"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "support/error.hpp"
@@ -12,6 +14,9 @@ namespace {
 /// DesignSpace::axes() — pruning bounds become available once it is fixed.
 constexpr std::size_t kCacheAxis = 3;
 constexpr double kFrameworkOverheadGb = 0.55;
+/// Candidates per task of the prediction wave: each task scores one
+/// block through the estimator's span predict.
+constexpr std::size_t kPredictBlock = 128;
 }  // namespace
 
 Explorer::Explorer(const DesignSpace& space,
@@ -30,13 +35,12 @@ bool Explorer::satisfies(const estimator::PerfPrediction& p,
 }
 
 double Explorer::memory_lower_bound_gb(
-    const std::vector<std::size_t>& levels, std::size_t axis) const {
-  if (axis <= kCacheAxis) return 0.0;  // cache axis not decided yet
+    const std::vector<std::size_t>& levels) const {
   // Complete the assignment with level-0 defaults (always materializable:
   // level 0 of every axis is the least-demanding choice) and take the
   // irreducible memory floor: framework overhead + the fixed cache.
   std::vector<std::size_t> completed = levels;
-  for (std::size_t a = axis; a < completed.size(); ++a) completed[a] = 0;
+  std::fill(completed.begin() + kCacheAxis + 1, completed.end(), 0);
   runtime::TrainConfig probe;
   if (!space_->materialize(completed, &probe)) return 0.0;
   return kFrameworkOverheadGb +
@@ -60,8 +64,8 @@ void Explorer::dfs(std::vector<std::size_t>& levels, std::size_t axis,
   for (std::size_t level = 0; level < axes[axis].cardinality; ++level) {
     levels[axis] = level;
     ++result.stats.nodes_visited;
-    if (constraints.max_memory_gb > 0.0) {
-      const double bound = memory_lower_bound_gb(levels, axis + 1);
+    if (axis == kCacheAxis && constraints.max_memory_gb > 0.0) {
+      const double bound = memory_lower_bound_gb(levels);
       if (bound > constraints.max_memory_gb) {
         ++result.stats.subtrees_pruned;
         continue;
@@ -73,16 +77,24 @@ void Explorer::dfs(std::vector<std::size_t>& levels, std::size_t axis,
 }
 
 void Explorer::evaluate_candidates(
-    const std::vector<runtime::TrainConfig>& configs,
+    std::vector<runtime::TrainConfig> configs,
     const RuntimeConstraints& constraints, ExplorationResult& result) const {
-  std::vector<estimator::PerfPrediction> predictions(configs.size());
+  const std::size_t n = configs.size();
+  std::vector<estimator::PerfPrediction> predictions(n);
   support::ThreadPool& pool = pool_ ? *pool_ : support::global_pool();
-  pool.parallel_for(0, configs.size(), [&](std::size_t i) {
-    predictions[i] = estimator_->predict(configs[i], stats_);
-  });
-  for (std::size_t i = 0; i < configs.size(); ++i) {
+  pool.parallel_for(0, (n + kPredictBlock - 1) / kPredictBlock,
+                    [&](std::size_t block) {
+                      const std::size_t begin = block * kPredictBlock;
+                      const std::size_t len =
+                          std::min(kPredictBlock, n - begin);
+                      estimator_->predict(
+                          std::span(configs).subspan(begin, len), stats_,
+                          std::span(predictions).subspan(begin, len));
+                    });
+  for (std::size_t i = 0; i < n; ++i) {
     if (!satisfies(predictions[i], constraints)) continue;
-    result.feasible.push_back(Candidate{configs[i], predictions[i]});
+    result.feasible.push_back(
+        Candidate{std::move(configs[i]), predictions[i]});
     ++result.stats.feasible;
   }
 }
@@ -113,7 +125,7 @@ ExplorationResult Explorer::explore(
   }
   std::vector<std::size_t> levels(space_->axes().size(), 0);
   dfs(levels, 0, constraints, result, candidates);
-  evaluate_candidates(candidates, constraints, result);
+  evaluate_candidates(std::move(candidates), constraints, result);
   finish_result(result);
   log_info("DFS explored ", result.stats.leaves_evaluated, " leaves, pruned ",
            result.stats.subtrees_pruned, " subtrees, ",
@@ -125,10 +137,10 @@ ExplorationResult Explorer::explore(
 ExplorationResult Explorer::explore_exhaustive(
     const RuntimeConstraints& constraints) const {
   ExplorationResult result;
-  const std::vector<runtime::TrainConfig> configs = space_->enumerate();
+  std::vector<runtime::TrainConfig> configs = space_->enumerate();
   result.stats.nodes_visited = configs.size();
   result.stats.leaves_evaluated = configs.size();
-  evaluate_candidates(configs, constraints, result);
+  evaluate_candidates(std::move(configs), constraints, result);
   finish_result(result);
   return result;
 }

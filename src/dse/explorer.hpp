@@ -3,13 +3,19 @@
 // The explorer starts from an initial candidate set seeded with the
 // templates of existing works (so GNNavigator never loses to a system it
 // can reproduce), then walks the remaining design space depth-first,
-// pruning whole subtrees whose *analytic lower bounds* already violate a
-// runtime constraint:
-//   - Γ lower bound: framework overhead + cache memory of the partially
-//     assigned cache ratio (memory can only grow from there);
-//   - T lower bound: compute-only epoch time at the smallest remaining
-//     batch expansion.
-// Every surviving leaf is scored through the gray-box estimator.
+// pruning whole subtrees whose *analytic lower bound* already violates
+// the memory budget: framework overhead + the cache memory of the
+// assigned cache ratio (memory can only grow from there).
+//
+// The bound is taken only at cache-axis nodes. Below such a node the
+// completed assignment either keeps the same cache ratio, and with it
+// the same bound, or no longer materializes (a non-zero bias without a
+// cache), which only removes validity. So the bound never rises below
+// the cache axis, and no deeper node can be pruned.
+//
+// Every surviving leaf is scored through the gray-box estimator, in
+// fixed blocks of candidates per pool task (PerfEstimator's span
+// predict).
 #pragma once
 
 #include <cstdint>
@@ -76,15 +82,14 @@ class Explorer {
   void dfs(std::vector<std::size_t>& levels, std::size_t axis,
            const RuntimeConstraints& constraints, ExplorationResult& result,
            std::vector<runtime::TrainConfig>& leaves) const;
-  /// Predicts `configs` concurrently, then appends the feasible ones to
+  /// Predicts `configs` concurrently, then moves the feasible ones into
   /// `result` in input order.
-  void evaluate_candidates(const std::vector<runtime::TrainConfig>& configs,
+  void evaluate_candidates(std::vector<runtime::TrainConfig> configs,
                            const RuntimeConstraints& constraints,
                            ExplorationResult& result) const;
-  /// Sound lower bounds for pruning at a partial assignment (axes
-  /// [0, axis) fixed).
-  double memory_lower_bound_gb(const std::vector<std::size_t>& levels,
-                               std::size_t axis) const;
+  /// Sound Γ lower bound at a cache-axis node (axes [0, kCacheAxis]
+  /// fixed; later levels are ignored).
+  double memory_lower_bound_gb(const std::vector<std::size_t>& levels) const;
   void finish_result(ExplorationResult& result) const;
 
   const DesignSpace* space_;

@@ -16,16 +16,16 @@ double measured_batch_nodes(const ProfiledRun& run) {
 
 }  // namespace
 
-void GrayBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs) {
+void GrayBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs,
+                                    const hw::HardwareProfile& hw) {
   GNAV_CHECK(!runs.empty(), "no profiled runs");
   ml::Matrix x;
   std::vector<double> y;
-  hw::HardwareProfile dummy_hw;  // features also carry hw, keep per-run hw
   for (const ProfiledRun& run : runs) {
     const double analytic = analytic_batch_nodes(run.config, run.stats);
     const double measured = measured_batch_nodes(run);
     if (analytic <= 0.0 || measured <= 0.0) continue;
-    x.push_back(extract_features(run.config, run.stats, dummy_hw));
+    x.push_back(extract_features(run.config, run.stats, hw));
     // Learn the log-ratio: multiplicative penalties compose additively in
     // log space, which trees fit far more stably than raw ratios.
     y.push_back(std::log(measured / analytic));
@@ -38,28 +38,39 @@ void GrayBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs) {
 double GrayBoxBatchSizeEstimator::predict(
     const runtime::TrainConfig& config, const DatasetStats& stats,
     const hw::HardwareProfile& hw) const {
-  GNAV_CHECK(fitted_, "predict before fit");
-  const double analytic = analytic_batch_nodes(config, stats);
-  const double log_penalty =
-      penalty_model_.predict_one(extract_features(config, stats, hw));
-  // The penalty corrects overlap mis-estimation; clamp to a sane band so
-  // an extrapolating tree cannot produce absurd batch sizes.
-  const double penalty = std::clamp(std::exp(log_penalty), 0.1, 10.0);
-  const double n = static_cast<double>(stats.profile.num_nodes);
-  return std::clamp(analytic * penalty,
-                    static_cast<double>(std::min<std::size_t>(
-                        config.batch_size,
-                        static_cast<std::size_t>(std::max(n, 1.0)))),
-                    n);
+  const std::vector<double> row = extract_features(config, stats, hw);
+  double out = 0.0;
+  predict_rows({&config, 1}, stats, {&row, 1}, {&out, 1});
+  return out;
 }
 
-void BlackBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs) {
+void GrayBoxBatchSizeEstimator::predict_rows(
+    std::span<const runtime::TrainConfig> configs, const DatasetStats& stats,
+    std::span<const std::vector<double>> rows, std::span<double> out) const {
+  GNAV_CHECK(fitted_, "predict before fit");
+  GNAV_CHECK(configs.size() == rows.size(), "config/row count mismatch");
+  penalty_model_.predict_block(rows, out);  // log penalties
+  const double n = static_cast<double>(stats.profile.num_nodes);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const double analytic = analytic_batch_nodes(configs[i], stats);
+    // The penalty corrects overlap mis-estimation; clamp to a sane band
+    // so an extrapolating tree cannot produce absurd batch sizes.
+    const double penalty = std::clamp(std::exp(out[i]), 0.1, 10.0);
+    out[i] = std::clamp(analytic * penalty,
+                        static_cast<double>(std::min<std::size_t>(
+                            configs[i].batch_size,
+                            static_cast<std::size_t>(std::max(n, 1.0)))),
+                        n);
+  }
+}
+
+void BlackBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs,
+                                     const hw::HardwareProfile& hw) {
   GNAV_CHECK(!runs.empty(), "no profiled runs");
   ml::Matrix x;
   std::vector<double> y;
-  hw::HardwareProfile dummy_hw;
   for (const ProfiledRun& run : runs) {
-    x.push_back(extract_features(run.config, run.stats, dummy_hw));
+    x.push_back(extract_features(run.config, run.stats, hw));
     y.push_back(measured_batch_nodes(run));
   }
   model_.fit(x, y);

@@ -9,6 +9,7 @@
 // features to |V_i| — the comparison arm in Fig. 5.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "estimator/profile_collector.hpp"
@@ -17,12 +18,22 @@
 
 namespace gnav::estimator {
 
+// Both models fit on the feature rows of `hw`, the hardware profile the
+// caller predicts for: the rows they learn from are the rows they are
+// asked about.
 class GrayBoxBatchSizeEstimator {
  public:
-  void fit(const std::vector<ProfiledRun>& runs);
+  void fit(const std::vector<ProfiledRun>& runs,
+           const hw::HardwareProfile& hw);
   double predict(const runtime::TrainConfig& config,
                  const DatasetStats& stats,
                  const hw::HardwareProfile& hw) const;
+  /// out[i] = predict(configs[i], stats, hw), given the already
+  /// extracted rows: rows[i] = extract_features(configs[i], stats, hw).
+  void predict_rows(std::span<const runtime::TrainConfig> configs,
+                    const DatasetStats& stats,
+                    std::span<const std::vector<double>> rows,
+                    std::span<double> out) const;
   bool is_fitted() const { return fitted_; }
 
  private:
@@ -32,7 +43,8 @@ class GrayBoxBatchSizeEstimator {
 
 class BlackBoxBatchSizeEstimator {
  public:
-  void fit(const std::vector<ProfiledRun>& runs);
+  void fit(const std::vector<ProfiledRun>& runs,
+           const hw::HardwareProfile& hw);
   double predict(const runtime::TrainConfig& config,
                  const DatasetStats& stats,
                  const hw::HardwareProfile& hw) const;

@@ -167,7 +167,7 @@ void PerfEstimator::fit(const std::vector<ProfiledRun>& runs) {
   // only on rows that genuinely ran the async executor (OverlapModel
   // rejects sync rows, whose measured walls describe a serial loop); it
   // simply stays unfitted — analytic Eq. 4 fallback — when none exist.
-  batch_model_.fit(runs);
+  batch_model_.fit(runs, hw_);
   overlap_model_.fit(runs);
   {
     ml::Matrix x;
@@ -237,47 +237,83 @@ void PerfEstimator::fit(const std::vector<ProfiledRun>& runs) {
 
 PerfPrediction PerfEstimator::predict(const runtime::TrainConfig& config,
                                       const DatasetStats& stats) const {
-  GNAV_CHECK(fitted_, "predict before fit");
-  const auto f = extract_features(config, stats, hw_);
   PerfPrediction p;
-  p.batch_nodes = batch_model_.predict(config, stats, hw_);
-  p.batch_edges = p.batch_nodes * std::exp(density_model_.predict_one(f));
-  p.cache_hit_rate = std::clamp(hit_model_.predict_one(f), 0.0, 1.0);
-
-  const double work = std::exp(work_model_.predict_one(f));
-  const double t_white = predict_time_analytic(
-      config, stats, p.batch_nodes, p.batch_edges, p.cache_hit_rate, work);
-  const double t_ratio =
-      std::clamp(std::exp(time_residual_.predict_one(f)), 0.25, 4.0);
-  p.time_s = t_white * t_ratio;
-
-  const double mem_white =
-      kFrameworkOverheadGb + analytic_model_memory_gb(config, stats) +
-      analytic_cache_memory_gb(config, stats) +
-      analytic_runtime_gb(config, stats, p.batch_nodes, p.batch_edges,
-                          p.cache_hit_rate);
-  const double m_ratio =
-      std::clamp(std::exp(mem_residual_.predict_one(f)), 0.5, 2.0);
-  p.memory_gb = mem_white * m_ratio;
-
-  p.accuracy = std::clamp(acc_model_.predict_one(f), 0.0, 1.0);
-
-  // Executor-overlap consultation: for pipelined configs the fitted
-  // correction replaces the bare Eq. 4 max() as the predicted
-  // wall/serial ratio of the async executor (analytic fallback when no
-  // measured rows trained it; exactly 1.0 for sync configs).
-  p.overlap_ratio_analytic = analytic_overlap_ratio(config, stats);
-  p.overlap_fitted =
-      config.pipeline_overlap && overlap_model_.is_fitted();
-  // predict() is the explorer's inner-loop scorer: reuse the analytic
-  // ratio just computed instead of re-deriving it via
-  // predict_overlap_ratio's convenience path.
-  p.overlap_ratio =
-      config.pipeline_overlap
-          ? overlap_model_.predict_ratio(config, stats, kCanonicalShape,
-                                         p.overlap_ratio_analytic)
-          : 1.0;
+  predict({&config, 1}, stats, {&p, 1});
   return p;
+}
+
+void PerfEstimator::predict(std::span<const runtime::TrainConfig> configs,
+                            const DatasetStats& stats,
+                            std::span<PerfPrediction> out) const {
+  GNAV_CHECK(fitted_, "predict before fit");
+  GNAV_CHECK(configs.size() == out.size(),
+             "config/prediction count mismatch");
+  const std::size_t n = configs.size();
+  ml::Matrix rows;
+  rows.reserve(n);
+  for (const runtime::TrainConfig& config : configs) {
+    rows.push_back(extract_features(config, stats, hw_));
+  }
+  // One column of n learned outputs per ensemble.
+  std::vector<double> learned(7 * n);
+  const auto column = [&](std::size_t k) {
+    return std::span<double>(learned).subspan(k * n, n);
+  };
+  const std::span<double> batch_nodes = column(0);
+  const std::span<double> log_density = column(1);
+  const std::span<double> hit = column(2);
+  const std::span<double> log_work = column(3);
+  const std::span<double> log_t_ratio = column(4);
+  const std::span<double> log_m_ratio = column(5);
+  const std::span<double> acc = column(6);
+  batch_model_.predict_rows(configs, stats, rows, batch_nodes);
+  density_model_.predict_block(rows, log_density);
+  hit_model_.predict_block(rows, hit);
+  work_model_.predict_block(rows, log_work);
+  time_residual_.predict_block(rows, log_t_ratio);
+  mem_residual_.predict_block(rows, log_m_ratio);
+  acc_model_.predict_block(rows, acc);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const runtime::TrainConfig& config = configs[i];
+    PerfPrediction p;
+    p.batch_nodes = batch_nodes[i];
+    p.batch_edges = p.batch_nodes * std::exp(log_density[i]);
+    p.cache_hit_rate = std::clamp(hit[i], 0.0, 1.0);
+
+    const double work = std::exp(log_work[i]);
+    const double t_white = predict_time_analytic(
+        config, stats, p.batch_nodes, p.batch_edges, p.cache_hit_rate, work);
+    const double t_ratio = std::clamp(std::exp(log_t_ratio[i]), 0.25, 4.0);
+    p.time_s = t_white * t_ratio;
+
+    const double mem_white =
+        kFrameworkOverheadGb + analytic_model_memory_gb(config, stats) +
+        analytic_cache_memory_gb(config, stats) +
+        analytic_runtime_gb(config, stats, p.batch_nodes, p.batch_edges,
+                            p.cache_hit_rate);
+    const double m_ratio = std::clamp(std::exp(log_m_ratio[i]), 0.5, 2.0);
+    p.memory_gb = mem_white * m_ratio;
+
+    p.accuracy = std::clamp(acc[i], 0.0, 1.0);
+
+    // Executor-overlap consultation: for pipelined configs the fitted
+    // correction replaces the bare Eq. 4 max() as the predicted
+    // wall/serial ratio of the async executor (analytic fallback when no
+    // measured rows trained it; exactly 1.0 for sync configs).
+    p.overlap_ratio_analytic = analytic_overlap_ratio(config, stats);
+    p.overlap_fitted =
+        config.pipeline_overlap && overlap_model_.is_fitted();
+    // This is the explorer's inner-loop scorer: reuse the analytic ratio
+    // just computed instead of re-deriving it via
+    // predict_overlap_ratio's convenience path.
+    p.overlap_ratio =
+        config.pipeline_overlap
+            ? overlap_model_.predict_ratio(config, stats, kCanonicalShape,
+                                           p.overlap_ratio_analytic)
+            : 1.0;
+    out[i] = p;
+  }
 }
 
 }  // namespace gnav::estimator

@@ -15,6 +15,7 @@
 // trained from profiles gathered on the platform it predicts for).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "estimator/batch_size_estimator.hpp"
@@ -52,9 +53,19 @@ class PerfEstimator {
   /// leave-one-dataset-out corpus + power-law augmentation).
   void fit(const std::vector<ProfiledRun>& runs);
 
-  /// Predicts Perf{T, Γ, Acc} for `config` on `stats`' dataset.
+  /// Predicts Perf{T, Γ, Acc} for `config` on `stats`' dataset: the
+  /// one-element call of the span predict below.
   PerfPrediction predict(const runtime::TrainConfig& config,
                          const DatasetStats& stats) const;
+
+  /// out[i] = predict(configs[i], stats) for a block of candidates, bit
+  /// for bit: one extract_features row per config, shared by all seven
+  /// boosted ensembles (the batch-size penalty and the estimator's six
+  /// heads), each evaluated over the whole block at once, then each
+  /// row's white-box tail. Pure: disjoint blocks may run concurrently.
+  void predict(std::span<const runtime::TrainConfig> configs,
+               const DatasetStats& stats,
+               std::span<PerfPrediction> out) const;
 
   bool is_fitted() const { return fitted_; }
   const GrayBoxBatchSizeEstimator& batch_size_model() const {

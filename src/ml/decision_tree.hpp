@@ -26,10 +26,6 @@ class DecisionTreeRegressor final : public Regressor {
   double predict_one(const std::vector<double>& x) const override;
   bool is_fitted() const override { return !nodes_.empty(); }
 
-  std::size_t node_count() const { return nodes_.size(); }
-  int depth() const;
-
- private:
   struct Node {
     int feature = -1;       // -1 => leaf
     double threshold = 0.0; // go left when x[feature] <= threshold
@@ -38,6 +34,13 @@ class DecisionTreeRegressor final : public Regressor {
     int right = -1;
   };
 
+  std::size_t node_count() const { return nodes_.size(); }
+  /// Levels on the longest root-to-leaf path (a lone root leaf is 1).
+  int depth() const;
+  /// The fitted nodes; nodes()[0] is the root.
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
   int build(const Matrix& x, const std::vector<double>& y,
             std::vector<std::size_t>& idx, int depth);
 

@@ -25,7 +25,8 @@ class Regressor {
 
   virtual double predict_one(const std::vector<double>& x) const = 0;
 
-  std::vector<double> predict(const Matrix& x) const;
+  /// predict_one over every row; overridable by batched predictors.
+  virtual std::vector<double> predict(const Matrix& x) const;
 
   virtual bool is_fitted() const = 0;
 };

@@ -239,6 +239,10 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
   const PipelineConfig& pipe = options.pipeline;
   PipelineEpochStats run_measured;  // real wall-clock totals, all epochs
   const std::size_t num_batches = batcher.batches_per_epoch();
+  // Full-graph logits of the latest evaluated epoch. The last epoch
+  // always evaluates, so after the loop they are the final weights'
+  // forward, which the test accuracy reads too.
+  tensor::Tensor eval_logits;
 
   // --- Algo. 1 main loop ------------------------------------------------
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
@@ -430,7 +434,7 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
                          static_cast<double>(total));
 
     if (options.evaluate_every_epoch || epoch + 1 == options.epochs) {
-      tensor::Tensor logits =
+      eval_logits =
           model.forward(ds.graph, x_full, /*training=*/false, eval_rng);
       std::vector<int> val_labels(ds.val_nodes.size());
       for (std::size_t i = 0; i < ds.val_nodes.size(); ++i) {
@@ -438,7 +442,7 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
             ds.labels[static_cast<std::size_t>(ds.val_nodes[i])];
       }
       report.epoch_val_accuracy.push_back(
-          nn::accuracy(logits, ds.val_nodes, val_labels));
+          nn::accuracy(eval_logits, ds.val_nodes, val_labels));
     }
 
     // Phase breakdown: keep the running average across epochs.
@@ -490,16 +494,17 @@ TrainReport RuntimeBackend::run(const TrainConfig& config,
   report.pipeline.compute_wall_s = run_measured.compute_busy_s;
   report.pipeline.measured_wall_s = run_measured.wall_s;
 
-  // Final test evaluation on the full graph.
+  // Final test evaluation on the full graph: the last epoch's forward
+  // (an eval forward draws nothing from eval_rng, so repeating it on the
+  // same weights would give the same logits).
   {
-    tensor::Tensor logits =
-        model.forward(ds.graph, x_full, /*training=*/false, eval_rng);
     std::vector<int> test_labels(ds.test_nodes.size());
     for (std::size_t i = 0; i < ds.test_nodes.size(); ++i) {
       test_labels[i] =
           ds.labels[static_cast<std::size_t>(ds.test_nodes[i])];
     }
-    report.test_accuracy = nn::accuracy(logits, ds.test_nodes, test_labels);
+    report.test_accuracy =
+        nn::accuracy(eval_logits, ds.test_nodes, test_labels);
   }
 
   report.wall_clock_s =

@@ -400,6 +400,30 @@ TEST_F(ExplorerFixture, MemoryConstraintPrunesAndStaysSound) {
   EXPECT_EQ(constrained.feasible.size(), exhaustive.feasible.size());
 }
 
+TEST_F(ExplorerFixture, TraversalCountsArePinned) {
+  // Read when the Γ bound was evaluated at every node below the cache
+  // axis too; it now runs at cache-axis nodes only, which must leave
+  // every count unchanged.
+  struct Pinned {
+    double budget_gb;
+    std::size_t visited;
+    std::size_t pruned;
+    std::size_t leaves;
+  };
+  const DesignSpace space = DesignSpace::full(BaseSettings{});
+  const Explorer explorer(space, *est_, *stats_);
+  for (const Pinned& p : {Pinned{0.0, 30100, 0, 10944},
+                          Pinned{0.8, 26932, 48, 9216},
+                          Pinned{0.65, 17428, 192, 4032}}) {
+    RuntimeConstraints budget;
+    budget.max_memory_gb = p.budget_gb;
+    const ExplorationStats stats = explorer.explore(budget, {}).stats;
+    EXPECT_EQ(stats.nodes_visited, p.visited) << p.budget_gb << " GB";
+    EXPECT_EQ(stats.subtrees_pruned, p.pruned) << p.budget_gb << " GB";
+    EXPECT_EQ(stats.leaves_evaluated, p.leaves) << p.budget_gb << " GB";
+  }
+}
+
 TEST_F(ExplorerFixture, TemplateSeedingIncludesBaselines) {
   const DesignSpace space = DesignSpace::reduced(BaseSettings{});
   const Explorer explorer(space, *est_, *stats_);

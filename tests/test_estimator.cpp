@@ -15,6 +15,7 @@
 
 #include <cstdio>
 
+#include "dse/design_space.hpp"
 #include "estimator/batch_size_estimator.hpp"
 #include "estimator/corpus_io.hpp"
 #include "estimator/features.hpp"
@@ -162,8 +163,8 @@ TEST_F(EstimatorFixture, CorpusIsPopulated) {
 TEST_F(EstimatorFixture, GrayBoxBatchModelBeatsBlackBoxOutOfSample) {
   GrayBoxBatchSizeEstimator gray;
   BlackBoxBatchSizeEstimator black;
-  gray.fit(*corpus_);
-  black.fit(*corpus_);
+  gray.fit(*corpus_, *hw_);
+  black.fit(*corpus_, *hw_);
   std::vector<double> y_true;
   std::vector<double> y_gray;
   std::vector<double> y_black;
@@ -443,6 +444,50 @@ TEST_F(EstimatorFixture, PerfEstimatorGeneralizesOutOfSample) {
   // expect directional generalization, not Table-2-grade precision.
   EXPECT_GT(ml::r2_score(t_true, t_pred), 0.3);
   EXPECT_GT(ml::r2_score(m_true, m_pred), 0.3);
+}
+
+TEST_F(EstimatorFixture, BlockPredictMatchesSinglePredict) {
+  PerfEstimator est(*hw_);
+  est.fit(*corpus_);
+  ASSERT_TRUE(est.overlap_model().is_fitted());  // covers the fitted arm
+  const std::vector<runtime::TrainConfig> configs =
+      dse::DesignSpace::full(dse::BaseSettings{}).enumerate();
+  std::vector<PerfPrediction> block(configs.size());
+  est.predict(configs, *stats_, block);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const PerfPrediction one = est.predict(configs[i], *stats_);
+    const PerfPrediction& b = block[i];
+    ASSERT_EQ(bits(one.time_s), bits(b.time_s)) << "config " << i;
+    ASSERT_EQ(bits(one.memory_gb), bits(b.memory_gb)) << "config " << i;
+    ASSERT_EQ(bits(one.accuracy), bits(b.accuracy)) << "config " << i;
+    ASSERT_EQ(bits(one.batch_nodes), bits(b.batch_nodes)) << "config " << i;
+    ASSERT_EQ(bits(one.batch_edges), bits(b.batch_edges)) << "config " << i;
+    ASSERT_EQ(bits(one.cache_hit_rate), bits(b.cache_hit_rate))
+        << "config " << i;
+    ASSERT_EQ(bits(one.overlap_ratio), bits(b.overlap_ratio))
+        << "config " << i;
+    ASSERT_EQ(bits(one.overlap_ratio_analytic),
+              bits(b.overlap_ratio_analytic))
+        << "config " << i;
+    ASSERT_EQ(one.overlap_fitted, b.overlap_fitted) << "config " << i;
+  }
+  std::vector<PerfPrediction> short_out(1);
+  EXPECT_THROW(est.predict(configs, *stats_, short_out), Error);
+}
+
+TEST_F(EstimatorFixture, BatchNodesAreTheBatchSizeModelsPrediction) {
+  // The batch-size model fits on the estimator's own hardware rows, so
+  // the estimator's shared feature row is the row the model learned.
+  PerfEstimator est(*hw_);
+  est.fit(*corpus_);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const runtime::TrainConfig& c :
+       dse::DesignSpace::full(dse::BaseSettings{}).enumerate()) {
+    ASSERT_EQ(bits(est.predict(c, *stats_).batch_nodes),
+              bits(est.batch_size_model().predict(c, *stats_, *hw_)))
+        << c.summary();
+  }
 }
 
 TEST_F(EstimatorFixture, MoreCachePredictsLessTimeMoreMemory) {

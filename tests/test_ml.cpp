@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 
 #include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
@@ -114,6 +117,201 @@ TEST(GradientBoosting, EarlyStopsOnPerfectFit) {
   gbm.fit(x, y);
   EXPECT_EQ(gbm.round_count(), 0u);  // base prediction already exact
   EXPECT_DOUBLE_EQ(gbm.predict_one({9.0}), 5.0);
+}
+
+/// The tree-by-tree prediction path the flat ensemble replaced: the same
+/// boosting loop over DecisionTreeRegressor trees, then the base value
+/// plus lr * tree.predict_one(x), tree by tree.
+struct TreeSumReference {
+  TreeSumReference(const BoostingParams& params, const Matrix& x,
+                   const std::vector<double>& y)
+      : learning_rate(params.learning_rate) {
+    double s = 0.0;
+    for (double v : y) s += v;
+    base = s / static_cast<double>(y.size());
+    std::vector<double> residual(y.size());
+    std::vector<double> pred(y.size(), base);
+    for (int round = 0; round < params.num_rounds; ++round) {
+      double max_resid = 0.0;
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        residual[i] = y[i] - pred[i];
+        max_resid = std::max(max_resid, std::abs(residual[i]));
+      }
+      if (max_resid < 1e-12) break;
+      DecisionTreeRegressor tree(params.tree);
+      tree.fit(x, residual);
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        pred[i] += learning_rate * tree.predict_one(x[i]);
+      }
+      trees.push_back(std::move(tree));
+    }
+  }
+
+  double predict_one(const std::vector<double>& x) const {
+    double out = base;
+    for (const auto& tree : trees) out += learning_rate * tree.predict_one(x);
+    return out;
+  }
+
+  double base = 0.0;
+  double learning_rate = 0.0;
+  std::vector<DecisionTreeRegressor> trees;
+};
+
+/// Depth (edges from the root) of every leaf of `tree`.
+std::vector<int> leaf_depths(const DecisionTreeRegressor& tree) {
+  std::vector<int> depths;
+  std::vector<std::pair<int, int>> stack = {{0, 0}};
+  while (!stack.empty()) {
+    const auto [id, depth] = stack.back();
+    stack.pop_back();
+    const auto& nd = tree.nodes()[static_cast<std::size_t>(id)];
+    if (nd.feature < 0) {
+      depths.push_back(depth);
+    } else {
+      stack.push_back({nd.left, depth + 1});
+      stack.push_back({nd.right, depth + 1});
+    }
+  }
+  return depths;
+}
+
+/// Feature rows of the estimator's kind: an integer knob, a fraction, a
+/// one-hot flag and a signed value.
+Matrix make_mixed_rows(std::size_t n, Rng& rng) {
+  Matrix x;
+  for (std::size_t i = 0; i < n; ++i) {
+    x.push_back({static_cast<double>(rng.uniform_index(10)), rng.uniform(),
+                 rng.uniform() < 0.5 ? 0.0 : 1.0, rng.uniform(-1.0, 1.0)});
+  }
+  return x;
+}
+
+/// Expects the flat ensemble to give the reference's bits for every row,
+/// through predict_one, predict and predict_block in blocks of 1, 7, 128
+/// and 1000 rows.
+void expect_same_bits(const GradientBoostingRegressor& gbm,
+                      const TreeSumReference& ref, const Matrix& rows) {
+  std::vector<double> want;
+  for (const auto& row : rows) want.push_back(ref.predict_one(row));
+  const auto same = [&](const std::vector<double>& got, const char* path) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+          << path << " row " << i << ": " << got[i] << " vs " << want[i];
+    }
+  };
+  std::vector<double> one;
+  for (const auto& row : rows) one.push_back(gbm.predict_one(row));
+  same(one, "predict_one");
+  same(gbm.predict(rows), "predict");
+  for (const std::size_t block : {1, 7, 128, 1000}) {
+    std::vector<double> got(rows.size());
+    for (std::size_t begin = 0; begin < rows.size(); begin += block) {
+      const std::size_t len = std::min(block, rows.size() - begin);
+      gbm.predict_block(std::span(rows).subspan(begin, len),
+                        std::span(got).subspan(begin, len));
+    }
+    same(got, "predict_block");
+  }
+}
+
+TEST(GradientBoosting, FlatEnsembleMatchesTreeSum) {
+  BoostingParams small;  // the estimator's shape for corpora under 96 rows
+  small.num_rounds = 40;
+  small.learning_rate = 0.1;
+  small.tree.max_depth = 2;
+  small.tree.min_samples_leaf = 4;
+  small.tree.min_samples_split = 8;
+  const BoostingParams deep;  // 80 rounds of depth 3
+  BoostingParams deeper;      // past the unrolled depths
+  deeper.num_rounds = 20;
+  deeper.tree.max_depth = 5;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [params, n_train] :
+       {std::pair{small, std::size_t{32}}, std::pair{deep, std::size_t{128}},
+        std::pair{deeper, std::size_t{128}}}) {
+    Rng rng(21 + n_train);
+    const Matrix x = make_mixed_rows(n_train, rng);
+    std::vector<double> y;
+    for (const auto& row : x) {
+      y.push_back((row[0] > 4.0 ? 2.0 : 0.0) + std::sin(3.0 * row[1]) +
+                  row[2] * row[3] + 0.1 * rng.normal());
+    }
+    GradientBoostingRegressor gbm(params);
+    gbm.fit(x, y);
+    const TreeSumReference ref(params, x, y);
+    ASSERT_EQ(gbm.round_count(), ref.trees.size());
+    ASSERT_EQ(ref.trees.size(), static_cast<std::size_t>(params.num_rounds));
+
+    // Leaves stop at different depths, so some walks loop on a leaf.
+    std::vector<int> depths;
+    for (const auto& tree : ref.trees) {
+      for (int d : leaf_depths(tree)) depths.push_back(d);
+    }
+    EXPECT_LT(*std::min_element(depths.begin(), depths.end()),
+              *std::max_element(depths.begin(), depths.end()));
+
+    Matrix rows = make_mixed_rows(1200, rng);
+    const std::vector<double> seed_row = rows[0];
+    // Every split value exactly, and the doubles on either side of it.
+    for (const auto& tree : ref.trees) {
+      for (const auto& nd : tree.nodes()) {
+        if (nd.feature < 0) continue;
+        for (const double v : {nd.threshold, std::nextafter(nd.threshold, inf),
+                               std::nextafter(nd.threshold, -inf)}) {
+          rows.push_back(seed_row);
+          rows.back()[static_cast<std::size_t>(nd.feature)] = v;
+        }
+      }
+    }
+    // NaN, ±inf and ±0 in each feature, and an all-NaN row.
+    for (std::size_t f = 0; f < seed_row.size(); ++f) {
+      for (const double v : {nan, inf, -inf, 0.0, -0.0}) {
+        rows.push_back(seed_row);
+        rows.back()[f] = v;
+      }
+    }
+    rows.push_back(std::vector<double>(seed_row.size(), nan));
+    expect_same_bits(gbm, ref, rows);
+  }
+}
+
+TEST(GradientBoosting, FlatEnsembleMatchesTreeSumWithoutSplits) {
+  const Matrix rows = {{0.5, 1.0}, {-1.0, 2.0}, {3.0, -4.0}};
+  // Fewer rows than min_samples_split: every tree is a lone root leaf,
+  // so the walk takes zero steps.
+  const Matrix x = {{0.0, 1.0}, {1.0, 0.0}, {2.0, 2.0}, {3.0, 1.0}};
+  const std::vector<double> y = {1.0, -2.0, 0.5, 4.0};
+  BoostingParams params;
+  params.num_rounds = 5;
+  GradientBoostingRegressor stumps(params);
+  stumps.fit(x, y);
+  const TreeSumReference ref(params, x, y);
+  ASSERT_EQ(stumps.round_count(), 5u);
+  for (const auto& tree : ref.trees) ASSERT_EQ(tree.node_count(), 1u);
+  expect_same_bits(stumps, ref, rows);
+
+  // A constant target stops before the first round: the base value only.
+  const std::vector<double> flat = {3.0, 3.0, 3.0, 3.0};
+  GradientBoostingRegressor zero_rounds(params);
+  zero_rounds.fit(x, flat);
+  ASSERT_EQ(zero_rounds.round_count(), 0u);
+  expect_same_bits(zero_rounds, TreeSumReference(params, x, flat), rows);
+}
+
+TEST(GradientBoosting, PredictRejectsRowsMissingASplitFeature) {
+  Matrix x;
+  std::vector<double> y;
+  make_step_data(100, 3, &x, &y);
+  GradientBoostingRegressor gbm;
+  EXPECT_THROW(gbm.predict_one({0.5, 0.5}), Error);  // before fit
+  gbm.fit(x, y);
+  EXPECT_NO_THROW(gbm.predict_one({0.5, 0.5}));
+  EXPECT_THROW(gbm.predict_one({}), Error);
+  std::vector<double> out(1);
+  EXPECT_THROW(gbm.predict_block(x, out), Error);  // count mismatch
 }
 
 TEST(Ridge, RecoversLinearCoefficients) {
