@@ -1,6 +1,7 @@
 #include "dse/design_space.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -109,23 +110,19 @@ bool DesignSpace::materialize(const std::vector<std::size_t>& levels,
   c.compress_features = compress_[levels[7]] != 0;
   c.name = "dse";
   c.validate();
-  *out = c;
+  *out = std::move(c);
   return true;
 }
 
 std::vector<runtime::TrainConfig> DesignSpace::enumerate() const {
+  // Every level table holds distinct entries (the cache axis pairs each
+  // ratio with a distinct policy), so distinct valid assignments
+  // materialize to distinct configs: nothing needs de-duplicating.
   std::vector<runtime::TrainConfig> out;
   std::vector<std::size_t> levels(axes_.size(), 0);
   while (true) {
     runtime::TrainConfig c;
-    if (materialize(levels, &c)) {
-      const bool duplicate =
-          std::any_of(out.begin(), out.end(),
-                      [&](const runtime::TrainConfig& other) {
-                        return other == c;
-                      });
-      if (!duplicate) out.push_back(std::move(c));
-    }
+    if (materialize(levels, &c)) out.push_back(std::move(c));
     // Odometer increment.
     std::size_t axis = axes_.size();
     while (axis > 0) {

@@ -46,7 +46,8 @@ class DesignSpace {
   /// Total assignments before validity filtering.
   std::size_t raw_size() const;
 
-  /// All *valid* configurations (deduplicated).
+  /// All *valid* configurations, in DFS (odometer) order; each appears
+  /// once.
   std::vector<runtime::TrainConfig> enumerate() const;
 
   /// Builds the (possibly invalid) config for a full axis assignment;

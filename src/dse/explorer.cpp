@@ -1,7 +1,7 @@
 #include "dse/explorer.hpp"
 
 #include <algorithm>
-#include <span>
+#include <iterator>
 #include <utility>
 
 #include "support/error.hpp"
@@ -14,9 +14,6 @@ namespace {
 /// DesignSpace::axes() — pruning bounds become available once it is fixed.
 constexpr std::size_t kCacheAxis = 3;
 constexpr double kFrameworkOverheadGb = 0.55;
-/// Candidates per task of the prediction wave: each task scores one
-/// block through the estimator's span predict.
-constexpr std::size_t kPredictBlock = 128;
 }  // namespace
 
 Explorer::Explorer(const DesignSpace& space,
@@ -48,70 +45,100 @@ double Explorer::memory_lower_bound_gb(
 }
 
 void Explorer::dfs(std::vector<std::size_t>& levels, std::size_t axis,
-                   const RuntimeConstraints& constraints,
-                   ExplorationResult& result,
+                   double bound_gb, ExplorationStats& stats,
                    std::vector<runtime::TrainConfig>& leaves) const {
   const auto& axes = space_->axes();
   if (axis == axes.size()) {
     // Pruning never looks at predictions, so surviving leaves are only
-    // collected here and scored in one parallel wave afterwards.
+    // collected here and scored together once the subtree is walked.
     runtime::TrainConfig config;
     if (!space_->materialize(levels, &config)) return;
-    ++result.stats.leaves_evaluated;
+    ++stats.leaves_evaluated;
     leaves.push_back(std::move(config));
     return;
   }
   for (std::size_t level = 0; level < axes[axis].cardinality; ++level) {
     levels[axis] = level;
-    ++result.stats.nodes_visited;
-    if (axis == kCacheAxis && constraints.max_memory_gb > 0.0) {
-      const double bound = memory_lower_bound_gb(levels);
-      if (bound > constraints.max_memory_gb) {
-        ++result.stats.subtrees_pruned;
-        continue;
-      }
+    ++stats.nodes_visited;
+    if (axis == kCacheAxis && bound_gb > 0.0 &&
+        memory_lower_bound_gb(levels) > bound_gb) {
+      ++stats.subtrees_pruned;
+      continue;
     }
-    dfs(levels, axis + 1, constraints, result, leaves);
+    dfs(levels, axis + 1, bound_gb, stats, leaves);
   }
   levels[axis] = 0;
 }
 
-void Explorer::evaluate_candidates(
-    std::vector<runtime::TrainConfig> configs,
-    const RuntimeConstraints& constraints, ExplorationResult& result) const {
-  const std::size_t n = configs.size();
-  std::vector<estimator::PerfPrediction> predictions(n);
-  support::ThreadPool& pool = pool_ ? *pool_ : support::global_pool();
-  pool.parallel_for(0, (n + kPredictBlock - 1) / kPredictBlock,
-                    [&](std::size_t block) {
-                      const std::size_t begin = block * kPredictBlock;
-                      const std::size_t len =
-                          std::min(kPredictBlock, n - begin);
-                      estimator_->predict(
-                          std::span(configs).subspan(begin, len), stats_,
-                          std::span(predictions).subspan(begin, len));
-                    });
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!satisfies(predictions[i], constraints)) continue;
-    result.feasible.push_back(
-        Candidate{std::move(configs[i]), predictions[i]});
-    ++result.stats.feasible;
+ExplorationResult Explorer::wave(
+    const RuntimeConstraints& constraints, double bound_gb,
+    std::vector<runtime::TrainConfig> templates) const {
+  ExplorationResult result;
+  const auto& axes = space_->axes();
+  // The walk down to the roots: every assignment of the axes above the
+  // cache axis, each node counted as the serial DFS counts it.
+  std::size_t roots = 1;
+  for (std::size_t a = 0; a < kCacheAxis; ++a) {
+    roots *= axes[a].cardinality;
+    result.stats.nodes_visited += roots;
   }
-}
+  std::size_t subtree_leaves = 1;
+  for (std::size_t a = kCacheAxis; a < axes.size(); ++a) {
+    subtree_leaves *= axes[a].cardinality;
+  }
 
-void Explorer::finish_result(ExplorationResult& result) const {
+  // One part per task, without a front: part 0 holds the templates,
+  // part r + 1 the subtree under root r.
+  std::vector<ExplorationResult> parts(roots + 1);
+  support::ThreadPool& pool = pool_ ? *pool_ : support::global_pool();
+  pool.parallel_for(0, parts.size(), [&](std::size_t t) {
+    ExplorationResult& part = parts[t];
+    std::vector<runtime::TrainConfig> leaves;
+    if (t == 0) {
+      leaves = std::move(templates);
+      part.stats.leaves_evaluated = leaves.size();
+    } else {
+      // Root t - 1's levels, decoded in mixed radix (DFS order).
+      std::vector<std::size_t> levels(axes.size(), 0);
+      for (std::size_t a = kCacheAxis, rest = t - 1; a-- > 0;) {
+        levels[a] = rest % axes[a].cardinality;
+        rest /= axes[a].cardinality;
+      }
+      leaves.reserve(subtree_leaves);
+      dfs(levels, kCacheAxis, bound_gb, part.stats, leaves);
+    }
+    std::vector<estimator::PerfPrediction> predicted(leaves.size());
+    estimator_->predict(leaves, stats_, predicted);
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      if (!satisfies(predicted[i], constraints)) continue;
+      part.feasible.push_back(Candidate{std::move(leaves[i]), predicted[i]});
+    }
+    part.stats.feasible = part.feasible.size();
+  });
+
+  std::size_t feasible = 0;
+  for (const ExplorationResult& part : parts) feasible += part.feasible.size();
+  result.feasible.reserve(feasible);
+  for (ExplorationResult& part : parts) {
+    result.stats.nodes_visited += part.stats.nodes_visited;
+    result.stats.subtrees_pruned += part.stats.subtrees_pruned;
+    result.stats.leaves_evaluated += part.stats.leaves_evaluated;
+    result.stats.feasible += part.stats.feasible;
+    std::move(part.feasible.begin(), part.feasible.end(),
+              std::back_inserter(result.feasible));
+  }
   std::vector<PerfPoint> points;
   points.reserve(result.feasible.size());
   for (const Candidate& c : result.feasible) points.push_back(c.point());
   result.pareto = pareto_front(points);
+  return result;
 }
 
 ExplorationResult Explorer::explore(
     const RuntimeConstraints& constraints,
     const std::vector<runtime::TrainConfig>& initial_templates) const {
-  ExplorationResult result;
   // Initial set: reproductions of existing works (paper Fig. 4 step 1).
-  std::vector<runtime::TrainConfig> candidates;
+  std::vector<runtime::TrainConfig> templates;
   for (const runtime::TrainConfig& t : initial_templates) {
     runtime::TrainConfig cfg = t;
     // Pin application-fixed fields so templates compete fairly.
@@ -120,13 +147,10 @@ ExplorationResult Explorer::explore(
     cfg.dropout = space_->base().dropout;
     cfg.learning_rate = space_->base().learning_rate;
     cfg.validate();
-    ++result.stats.leaves_evaluated;
-    candidates.push_back(std::move(cfg));
+    templates.push_back(std::move(cfg));
   }
-  std::vector<std::size_t> levels(space_->axes().size(), 0);
-  dfs(levels, 0, constraints, result, candidates);
-  evaluate_candidates(std::move(candidates), constraints, result);
-  finish_result(result);
+  ExplorationResult result =
+      wave(constraints, constraints.max_memory_gb, std::move(templates));
   log_info("DFS explored ", result.stats.leaves_evaluated, " leaves, pruned ",
            result.stats.subtrees_pruned, " subtrees, ",
            result.stats.feasible, " feasible, pareto size ",
@@ -136,12 +160,8 @@ ExplorationResult Explorer::explore(
 
 ExplorationResult Explorer::explore_exhaustive(
     const RuntimeConstraints& constraints) const {
-  ExplorationResult result;
-  std::vector<runtime::TrainConfig> configs = space_->enumerate();
-  result.stats.nodes_visited = configs.size();
-  result.stats.leaves_evaluated = configs.size();
-  evaluate_candidates(std::move(configs), constraints, result);
-  finish_result(result);
+  ExplorationResult result = wave(constraints, /*bound_gb=*/0.0, {});
+  result.stats.nodes_visited = result.stats.leaves_evaluated;
   return result;
 }
 

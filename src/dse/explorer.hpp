@@ -13,9 +13,15 @@
 // cache), which only removes validity. So the bound never rises below
 // the cache axis, and no deeper node can be pruned.
 //
-// Every surviving leaf is scored through the gray-box estimator, in
-// fixed blocks of candidates per pool task (PerfEstimator's span
-// predict).
+// A query is one pool wave. The calling thread walks the axes above the
+// cache axis (batch size x sampler x fanout: 64 roots in the full space,
+// 6 in the reduced one) and hands each cache-axis subtree to one task.
+// The task runs the DFS from the cache axis with the bound and its own
+// counters, materializes the subtree's leaves, scores them through the
+// gray-box estimator's span predict and keeps the feasible ones. The
+// templates are one more task. The serial tail concatenates the parts,
+// templates first and then subtrees in root order: the serial DFS's
+// feasible order and stats at any pool size.
 #pragma once
 
 #include <cstdint>
@@ -65,32 +71,33 @@ class Explorer {
                                 initial_templates) const;
 
   /// Exhaustive exploration (no pruning) — used to measure how much the
-  /// DFS bounds save (ablation) and to drive Fig. 6 sweeps.
+  /// DFS bounds save (ablation) and to drive Fig. 6 sweeps. The same
+  /// wave with the bound off; it counts one visited node per leaf.
   ExplorationResult explore_exhaustive(
       const RuntimeConstraints& constraints) const;
 
-  /// Pool the candidate predictions fan out on (nullptr → global pool).
-  /// Results are identical at any pool size: candidate order is fixed by
-  /// the traversal, prediction is pure, and feasibility filtering runs
-  /// serially afterwards.
+  /// Pool the wave's tasks run on (nullptr → global pool). Results are
+  /// identical at any pool size: each task's part is a pure function of
+  /// its subtree, and the parts are concatenated in a fixed order.
   void set_pool(support::ThreadPool* pool) { pool_ = pool; }
 
  private:
   /// Whether a predicted Perf meets every active runtime limit.
   static bool satisfies(const estimator::PerfPrediction& p,
                         const RuntimeConstraints& c);
+  /// The query's pool wave: `templates`, then every cache-axis subtree
+  /// pruned against `bound_gb` (0 = no bound), filtered by `constraints`.
+  ExplorationResult wave(const RuntimeConstraints& constraints,
+                         double bound_gb,
+                         std::vector<runtime::TrainConfig> templates) const;
+  /// DFS below `levels`' assignment of the axes above `axis`: counts into
+  /// `stats` and appends the valid leaves to `leaves` in DFS order.
   void dfs(std::vector<std::size_t>& levels, std::size_t axis,
-           const RuntimeConstraints& constraints, ExplorationResult& result,
+           double bound_gb, ExplorationStats& stats,
            std::vector<runtime::TrainConfig>& leaves) const;
-  /// Predicts `configs` concurrently, then moves the feasible ones into
-  /// `result` in input order.
-  void evaluate_candidates(std::vector<runtime::TrainConfig> configs,
-                           const RuntimeConstraints& constraints,
-                           ExplorationResult& result) const;
   /// Sound Γ lower bound at a cache-axis node (axes [0, kCacheAxis]
   /// fixed; later levels are ignored).
   double memory_lower_bound_gb(const std::vector<std::size_t>& levels) const;
-  void finish_result(ExplorationResult& result) const;
 
   const DesignSpace* space_;
   const estimator::PerfEstimator* estimator_;

@@ -21,11 +21,13 @@ void GrayBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs,
   GNAV_CHECK(!runs.empty(), "no profiled runs");
   ml::Matrix x;
   std::vector<double> y;
+  const hw::CostModel cost(hw);
   for (const ProfiledRun& run : runs) {
-    const double analytic = analytic_batch_nodes(run.config, run.stats);
+    const AnalyticShape shape = analytic_shape(run.config, run.stats, cost);
+    const double analytic = shape.batch_nodes;
     const double measured = measured_batch_nodes(run);
     if (analytic <= 0.0 || measured <= 0.0) continue;
-    x.push_back(extract_features(run.config, run.stats, hw));
+    x.push_back(extract_features(run.config, run.stats, hw, shape));
     // Learn the log-ratio: multiplicative penalties compose additively in
     // log space, which trees fit far more stably than raw ratios.
     y.push_back(std::log(measured / analytic));
@@ -38,21 +40,25 @@ void GrayBoxBatchSizeEstimator::fit(const std::vector<ProfiledRun>& runs,
 double GrayBoxBatchSizeEstimator::predict(
     const runtime::TrainConfig& config, const DatasetStats& stats,
     const hw::HardwareProfile& hw) const {
-  const std::vector<double> row = extract_features(config, stats, hw);
+  const AnalyticShape shape =
+      analytic_shape(config, stats, hw::CostModel(hw));
+  const std::vector<double> row = extract_features(config, stats, hw, shape);
   double out = 0.0;
-  predict_rows({&config, 1}, stats, {&row, 1}, {&out, 1});
+  predict_rows({&config, 1}, stats, {&shape, 1}, {&row, 1}, {&out, 1});
   return out;
 }
 
 void GrayBoxBatchSizeEstimator::predict_rows(
     std::span<const runtime::TrainConfig> configs, const DatasetStats& stats,
+    std::span<const AnalyticShape> shapes,
     std::span<const std::vector<double>> rows, std::span<double> out) const {
   GNAV_CHECK(fitted_, "predict before fit");
-  GNAV_CHECK(configs.size() == rows.size(), "config/row count mismatch");
+  GNAV_CHECK(configs.size() == rows.size() && configs.size() == shapes.size(),
+             "config/shape/row count mismatch");
   penalty_model_.predict_block(rows, out);  // log penalties
   const double n = static_cast<double>(stats.profile.num_nodes);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const double analytic = analytic_batch_nodes(configs[i], stats);
+    const double analytic = shapes[i].batch_nodes;
     // The penalty corrects overlap mis-estimation; clamp to a sane band
     // so an extrapolating tree cannot produce absurd batch sizes.
     const double penalty = std::clamp(std::exp(out[i]), 0.1, 10.0);

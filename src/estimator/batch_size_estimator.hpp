@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "estimator/features.hpp"
 #include "estimator/profile_collector.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
@@ -28,10 +29,12 @@ class GrayBoxBatchSizeEstimator {
   double predict(const runtime::TrainConfig& config,
                  const DatasetStats& stats,
                  const hw::HardwareProfile& hw) const;
-  /// out[i] = predict(configs[i], stats, hw), given the already
-  /// extracted rows: rows[i] = extract_features(configs[i], stats, hw).
+  /// out[i] = predict(configs[i], stats, hw), given each config's
+  /// analytic shape on `hw` and its feature row:
+  /// rows[i] = extract_features(configs[i], stats, hw, shapes[i]).
   void predict_rows(std::span<const runtime::TrainConfig> configs,
                     const DatasetStats& stats,
+                    std::span<const AnalyticShape> shapes,
                     std::span<const std::vector<double>> rows,
                     std::span<double> out) const;
   bool is_fitted() const { return fitted_; }

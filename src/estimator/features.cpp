@@ -166,9 +166,30 @@ hw::IterationVolumes analytic_iteration_volumes(
   return v;
 }
 
+AnalyticShape analytic_shape(const runtime::TrainConfig& config,
+                             const DatasetStats& stats,
+                             const hw::CostModel& cost) {
+  AnalyticShape s;
+  s.batch_nodes = analytic_batch_nodes(config, stats);
+  s.hit_prior = analytic_cache_hit_prior(config, stats);
+  const double b_nodes = std::max(s.batch_nodes, 1.0);
+  const double b_edges = b_nodes * std::max(stats.profile.avg_degree, 1.0);
+  s.times = cost.iteration_times(analytic_iteration_volumes(
+      config, stats, b_nodes, b_edges, s.hit_prior));
+  return s;
+}
+
 std::vector<double> extract_features(const runtime::TrainConfig& config,
                                      const DatasetStats& stats,
                                      const hw::HardwareProfile& hw) {
+  return extract_features(config, stats, hw,
+                          analytic_shape(config, stats, hw::CostModel(hw)));
+}
+
+std::vector<double> extract_features(const runtime::TrainConfig& config,
+                                     const DatasetStats& stats,
+                                     const hw::HardwareProfile& hw,
+                                     const AnalyticShape& analytic) {
   double fanout_sum = 0.0;
   for (int k : config.hop_list) {
     fanout_sum += (k == -1) ? stats.profile.avg_degree
@@ -192,14 +213,14 @@ std::vector<double> extract_features(const runtime::TrainConfig& config,
   f.push_back(static_cast<double>(config.hop_list.size()));
   f.push_back(mean_fanout);
   f.push_back(std::log(std::max(bound, 1.0)));
-  f.push_back(std::log(std::max(analytic_batch_nodes(config, stats), 1.0)));
+  f.push_back(std::log(std::max(analytic.batch_nodes, 1.0)));
   f.push_back(config.sampler == sampling::SamplerKind::kNodeWise ? 1.0 : 0.0);
   f.push_back(config.sampler == sampling::SamplerKind::kLayerWise ? 1.0 : 0.0);
   f.push_back(saint ? 1.0 : 0.0);
   f.push_back(config.bias_rate);
   f.push_back(config.cache_ratio);
   f.push_back(dynamic_cache ? 1.0 : 0.0);
-  f.push_back(analytic_cache_hit_prior(config, stats));
+  f.push_back(analytic.hit_prior);
   f.push_back(static_cast<double>(config.hidden_dim));
   f.push_back(static_cast<double>(config.num_layers));
   f.push_back(config.sampler == sampling::SamplerKind::kCluster ? 1.0

@@ -19,12 +19,33 @@ namespace gnav::estimator {
 /// Ordered feature names (for documentation and debugging).
 const std::vector<std::string>& feature_names();
 
+/// The white-box shape of one config on one dataset: Eq. 12's analytic
+/// batch nodes, the cache-hit prior, and Eq. 5-8's stage times at that
+/// shape (nodes floored at 1, edges at nodes times the average degree
+/// floored at 1, hits at the prior). Computed once per candidate row; the
+/// feature row, the batch-size model's analytic core, Eq. 4's analytic
+/// ratio and the overlap model's stage-balance features all read it.
+struct AnalyticShape {
+  double batch_nodes = 0.0;  // analytic_batch_nodes, not floored
+  double hit_prior = 0.0;    // analytic_cache_hit_prior
+  hw::IterationTimes times;
+};
+
+AnalyticShape analytic_shape(const runtime::TrainConfig& config,
+                             const DatasetStats& stats,
+                             const hw::CostModel& cost);
+
 /// Featurizes (config, dataset, hardware). The compute backend is not an
 /// input: every built-in backend gives the same bits, and T and Γ are
 /// simulated, so it cannot move any target.
 std::vector<double> extract_features(const runtime::TrainConfig& config,
                                      const DatasetStats& stats,
                                      const hw::HardwareProfile& hw);
+/// The same row, given the config's analytic shape on `hw`.
+std::vector<double> extract_features(const runtime::TrainConfig& config,
+                                     const DatasetStats& stats,
+                                     const hw::HardwareProfile& hw,
+                                     const AnalyticShape& analytic);
 
 /// Analytic white-box helpers shared by the estimator internals.
 double analytic_batch_nodes(const runtime::TrainConfig& config,

@@ -66,18 +66,13 @@ const std::vector<std::string>& OverlapModel::feature_names() {
 }
 
 std::vector<double> OverlapModel::features(
-    const runtime::TrainConfig& config, const DatasetStats& stats,
+    const runtime::TrainConfig& config, const AnalyticShape& analytic,
     const OverlapExecutorShape& shape, double push_stall_rate,
-    double pop_stall_rate, double occupancy_frac) const {
+    double pop_stall_rate, double occupancy_frac) {
   // Stage balance from the white-box skeleton only (analytic batch shape
   // and cache-hit prior) — identical at fit and predict time, no
   // measured quantity leaks into the white-box columns.
-  const double b_nodes = std::max(analytic_batch_nodes(config, stats), 1.0);
-  const double b_edges =
-      b_nodes * std::max(stats.profile.avg_degree, 1.0);
-  const double hit = analytic_cache_hit_prior(config, stats);
-  const hw::IterationTimes t = cost_.iteration_times(
-      analytic_iteration_volumes(config, stats, b_nodes, b_edges, hit));
+  const hw::IterationTimes& t = analytic.times;
   const double seq = std::max(t.sequential(), 1e-12);
   const double host = t.t_sample + t.t_transfer;
   const double device = t.t_replace + t.t_compute;
@@ -103,7 +98,7 @@ std::vector<double> OverlapModel::features(
   f.push_back(host / seq);
   f.push_back(t.t_compute / seq);
   f.push_back(bottleneck / seq);
-  f.push_back(std::log(b_nodes));
+  f.push_back(std::log(std::max(analytic.batch_nodes, 1.0)));
   f.push_back(std::log2(depth));
   f.push_back(std::log2(std::max(workers, 1.0)));
   f.push_back(chained ? 1.0 : 0.0);
@@ -157,8 +152,9 @@ void OverlapModel::fit(const std::vector<ProfiledRun>& runs) {
     const ProfiledRun& run = *eligible[i];
     const OverlapExecutorShape shape{run.report.pipeline.prefetch_depth,
                                      run.report.pipeline.sampler_workers};
-    x.push_back(features(run.config, run.stats, shape, push_rates[i],
-                         pop_rates[i], occ_fracs[i]));
+    x.push_back(features(run.config,
+                         analytic_shape(run.config, run.stats, cost_), shape,
+                         push_rates[i], pop_rates[i], occ_fracs[i]));
     y.push_back(std::log(measured_ratio(run.report)));
   }
   ridge_.fit(x, y);
@@ -172,7 +168,16 @@ double OverlapModel::predict_ratio(const runtime::TrainConfig& config,
                                    const OverlapExecutorShape& shape,
                                    double analytic_fallback) const {
   if (!fitted_) return clamp_ratio(analytic_fallback);
-  const auto f = features(config, stats, shape, mean_push_stall_rate_,
+  return predict_ratio(config, analytic_shape(config, stats, cost_), shape,
+                       analytic_fallback);
+}
+
+double OverlapModel::predict_ratio(const runtime::TrainConfig& config,
+                                   const AnalyticShape& analytic,
+                                   const OverlapExecutorShape& shape,
+                                   double analytic_fallback) const {
+  if (!fitted_) return clamp_ratio(analytic_fallback);
+  const auto f = features(config, analytic, shape, mean_push_stall_rate_,
                           mean_pop_stall_rate_, mean_occupancy_frac_);
   return clamp_ratio(std::exp(ridge_.predict_one(f)));
 }

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "estimator/features.hpp"
 #include "estimator/profile_collector.hpp"
 #include "hw/cost_model.hpp"
 #include "ml/ridge.hpp"
@@ -79,16 +80,23 @@ class OverlapModel {
                        const DatasetStats& stats,
                        const OverlapExecutorShape& shape,
                        double analytic_fallback) const;
+  /// The same ratio, given the config's analytic shape on this model's
+  /// hardware profile.
+  double predict_ratio(const runtime::TrainConfig& config,
+                       const AnalyticShape& analytic,
+                       const OverlapExecutorShape& shape,
+                       double analytic_fallback) const;
 
   /// Ordered names of the regression features (diagnostics).
   static const std::vector<std::string>& feature_names();
 
  private:
-  std::vector<double> features(const runtime::TrainConfig& config,
-                               const DatasetStats& stats,
-                               const OverlapExecutorShape& shape,
-                               double push_stall_rate, double pop_stall_rate,
-                               double occupancy_frac) const;
+  static std::vector<double> features(const runtime::TrainConfig& config,
+                                      const AnalyticShape& analytic,
+                                      const OverlapExecutorShape& shape,
+                                      double push_stall_rate,
+                                      double pop_stall_rate,
+                                      double occupancy_frac);
 
   hw::CostModel cost_;
   ml::RidgeRegressor ridge_;

@@ -45,9 +45,16 @@ double analytic_runtime_gb(const runtime::TrainConfig& config,
          kBytesPerGb;
 }
 
-}  // namespace
+/// Analytic Eq. 4 wall ratio (overlapped/sequential per-iteration) at a
+/// config's white-box shape: the fallback and ablation arm of the
+/// overlap correction; exactly 1.0 for sync configs.
+double analytic_overlap_ratio(const runtime::TrainConfig& config,
+                              const AnalyticShape& analytic) {
+  if (!config.pipeline_overlap) return 1.0;
+  const double seq = analytic.times.sequential();
+  return seq > 0.0 ? analytic.times.overlapped() / seq : 1.0;
+}
 
-namespace {
 /// Executor shape `predict` consults the overlap model with: the
 /// executor's default prefetch depth and a matching worker fan-out. A
 /// compile-time constant (never the environment or the machine's core
@@ -117,24 +124,13 @@ double PerfEstimator::predict_time_analytic(
          stats.real_scale_factor;
 }
 
-double PerfEstimator::analytic_overlap_ratio(
-    const runtime::TrainConfig& config, const DatasetStats& stats) const {
-  if (!config.pipeline_overlap) return 1.0;
-  const double b_nodes = std::max(analytic_batch_nodes(config, stats), 1.0);
-  const double b_edges = b_nodes * std::max(stats.profile.avg_degree, 1.0);
-  const double hit = analytic_cache_hit_prior(config, stats);
-  const hw::IterationTimes t = cost_.iteration_times(
-      analytic_iteration_volumes(config, stats, b_nodes, b_edges, hit));
-  const double seq = t.sequential();
-  return seq > 0.0 ? t.overlapped() / seq : 1.0;
-}
-
 double PerfEstimator::predict_overlap_ratio(
     const runtime::TrainConfig& config, const DatasetStats& stats,
     const OverlapExecutorShape& shape) const {
-  const double analytic = analytic_overlap_ratio(config, stats);
   if (!config.pipeline_overlap) return 1.0;
-  return overlap_model_.predict_ratio(config, stats, shape, analytic);
+  const AnalyticShape analytic = analytic_shape(config, stats, cost_);
+  return overlap_model_.predict_ratio(
+      config, analytic, shape, analytic_overlap_ratio(config, analytic));
 }
 
 void PerfEstimator::fit(const std::vector<ProfiledRun>& runs) {
@@ -249,10 +245,13 @@ void PerfEstimator::predict(std::span<const runtime::TrainConfig> configs,
   GNAV_CHECK(configs.size() == out.size(),
              "config/prediction count mismatch");
   const std::size_t n = configs.size();
+  std::vector<AnalyticShape> shapes;
+  shapes.reserve(n);
   ml::Matrix rows;
   rows.reserve(n);
   for (const runtime::TrainConfig& config : configs) {
-    rows.push_back(extract_features(config, stats, hw_));
+    shapes.push_back(analytic_shape(config, stats, cost_));
+    rows.push_back(extract_features(config, stats, hw_, shapes.back()));
   }
   // One column of n learned outputs per ensemble.
   std::vector<double> learned(7 * n);
@@ -266,7 +265,7 @@ void PerfEstimator::predict(std::span<const runtime::TrainConfig> configs,
   const std::span<double> log_t_ratio = column(4);
   const std::span<double> log_m_ratio = column(5);
   const std::span<double> acc = column(6);
-  batch_model_.predict_rows(configs, stats, rows, batch_nodes);
+  batch_model_.predict_rows(configs, stats, shapes, rows, batch_nodes);
   density_model_.predict_block(rows, log_density);
   hit_model_.predict_block(rows, hit);
   work_model_.predict_block(rows, log_work);
@@ -301,15 +300,12 @@ void PerfEstimator::predict(std::span<const runtime::TrainConfig> configs,
     // correction replaces the bare Eq. 4 max() as the predicted
     // wall/serial ratio of the async executor (analytic fallback when no
     // measured rows trained it; exactly 1.0 for sync configs).
-    p.overlap_ratio_analytic = analytic_overlap_ratio(config, stats);
+    p.overlap_ratio_analytic = analytic_overlap_ratio(config, shapes[i]);
     p.overlap_fitted =
         config.pipeline_overlap && overlap_model_.is_fitted();
-    // This is the explorer's inner-loop scorer: reuse the analytic ratio
-    // just computed instead of re-deriving it via
-    // predict_overlap_ratio's convenience path.
     p.overlap_ratio =
         config.pipeline_overlap
-            ? overlap_model_.predict_ratio(config, stats, kCanonicalShape,
+            ? overlap_model_.predict_ratio(config, shapes[i], kCanonicalShape,
                                            p.overlap_ratio_analytic)
             : 1.0;
     out[i] = p;

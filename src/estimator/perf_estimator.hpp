@@ -59,10 +59,12 @@ class PerfEstimator {
                          const DatasetStats& stats) const;
 
   /// out[i] = predict(configs[i], stats) for a block of candidates, bit
-  /// for bit: one extract_features row per config, shared by all seven
-  /// boosted ensembles (the batch-size penalty and the estimator's six
-  /// heads), each evaluated over the whole block at once, then each
-  /// row's white-box tail. Pure: disjoint blocks may run concurrently.
+  /// for bit: one analytic shape and one extract_features row per
+  /// config, shared by all seven boosted ensembles (the batch-size
+  /// penalty and the estimator's six heads), each evaluated over the
+  /// whole block at once, then each row's white-box tail, whose Eq. 4
+  /// ratio and overlap features read the same shape. Pure: disjoint
+  /// blocks may run concurrently.
   void predict(std::span<const runtime::TrainConfig> configs,
                const DatasetStats& stats,
                std::span<PerfPrediction> out) const;
@@ -108,12 +110,6 @@ class PerfEstimator {
                                double work_per_node = -1.0) const;
 
  private:
-  /// Analytic Eq. 4 wall ratio (overlapped/sequential per-iteration) for
-  /// a config, evaluated over the white-box batch shape; the fallback
-  /// and ablation arm of the overlap correction.
-  double analytic_overlap_ratio(const runtime::TrainConfig& config,
-                                const DatasetStats& stats) const;
-
   hw::HardwareProfile hw_;
   hw::CostModel cost_;
   GrayBoxBatchSizeEstimator batch_model_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "support/error.hpp"
 
@@ -29,12 +30,18 @@ double median(std::vector<double> xs) { return percentile(std::move(xs), 0.5); }
 double percentile(std::vector<double> xs, double q) {
   GNAV_CHECK(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
   if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
   const double pos = q * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  // The lo-th order statistic by selection; the hi-th is then the least
+  // element after it.
+  const auto at_lo = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), at_lo, xs.end());
+  const double x_lo = *at_lo;
+  const double x_hi =
+      hi == lo ? x_lo : *std::min_element(at_lo + 1, xs.end());
+  return x_lo * (1.0 - frac) + x_hi * frac;
 }
 
 double min_of(const std::vector<double>& xs) {

@@ -10,9 +10,10 @@ namespace gnav {
 double mean(const std::vector<double>& xs);
 double variance(const std::vector<double>& xs);  // population variance
 double stddev(const std::vector<double>& xs);
-double median(std::vector<double> xs);  // by value: sorts a copy
+double median(std::vector<double> xs);  // by value: selects on a copy
 
-/// q in [0,1]; linear interpolation between order statistics.
+/// q in [0,1]; linear interpolation between order statistics, found by
+/// selection (nth_element), not a full sort.
 double percentile(std::vector<double> xs, double q);
 
 double min_of(const std::vector<double>& xs);

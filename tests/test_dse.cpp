@@ -3,6 +3,9 @@
 // pruning soundness, and decision-maker preset behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
@@ -14,6 +17,7 @@
 #include "estimator/profile_collector.hpp"
 #include "runtime/templates.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace gnav::dse {
@@ -27,12 +31,13 @@ TEST(DesignSpace, EnumerationIsValidAndDeduplicated) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_NO_THROW(configs[i].validate());
   }
-  // spot-check dedup on a sample (full O(n^2) is wasteful here)
-  for (std::size_t i = 0; i < 200; ++i) {
-    for (std::size_t j = i + 1; j < 200; ++j) {
-      EXPECT_FALSE(configs[i] == configs[j]);
-    }
-  }
+  // Every pair is distinct: a summary names every knob the space sets,
+  // so distinct summaries mean distinct configs.
+  std::vector<std::string> summaries;
+  for (const auto& c : configs) summaries.push_back(c.summary());
+  std::sort(summaries.begin(), summaries.end());
+  EXPECT_EQ(std::adjacent_find(summaries.begin(), summaries.end()),
+            summaries.end());
 }
 
 TEST(DesignSpace, ReducedSpaceIsExhaustivelyTrainable) {
@@ -421,6 +426,129 @@ TEST_F(ExplorerFixture, TraversalCountsArePinned) {
     EXPECT_EQ(stats.nodes_visited, p.visited) << p.budget_gb << " GB";
     EXPECT_EQ(stats.subtrees_pruned, p.pruned) << p.budget_gb << " GB";
     EXPECT_EQ(stats.leaves_evaluated, p.leaves) << p.budget_gb << " GB";
+  }
+}
+
+/// What the explorer's wave must reproduce bit for bit: the templates
+/// (pinned to the space's base settings as the explorer pins them) when
+/// `with_templates`, then every enumerated config, each predicted alone
+/// and kept when it meets `c`.
+std::vector<Candidate> serial_reference(const DesignSpace& space,
+                                        const estimator::PerfEstimator& est,
+                                        const estimator::DatasetStats& stats,
+                                        const RuntimeConstraints& c,
+                                        bool with_templates) {
+  std::vector<runtime::TrainConfig> configs;
+  if (with_templates) {
+    for (runtime::TrainConfig t : runtime::all_templates()) {
+      t.model = space.base().model;
+      t.num_layers = space.base().num_layers;
+      t.dropout = space.base().dropout;
+      t.learning_rate = space.base().learning_rate;
+      configs.push_back(t);
+    }
+  }
+  for (const runtime::TrainConfig& config : space.enumerate()) {
+    configs.push_back(config);
+  }
+  std::vector<Candidate> kept;
+  for (const runtime::TrainConfig& config : configs) {
+    const estimator::PerfPrediction p = est.predict(config, stats);
+    if (c.max_epoch_time_s > 0.0 && p.time_s > c.max_epoch_time_s) continue;
+    if (c.max_memory_gb > 0.0 && p.memory_gb > c.max_memory_gb) continue;
+    if (c.min_accuracy > 0.0 && p.accuracy < c.min_accuracy) continue;
+    kept.push_back({config, p});
+  }
+  return kept;
+}
+
+/// Asserts `got` is `want` bit for bit: configs, all nine prediction
+/// fields, the front and the stats.
+void expect_same_result(const ExplorationResult& got,
+                        const std::vector<Candidate>& want,
+                        const ExplorationStats& want_stats) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(got.feasible.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Candidate& g = got.feasible[i];
+    const Candidate& w = want[i];
+    ASSERT_TRUE(g.config == w.config) << i << ": " << g.config.summary();
+    ASSERT_EQ(g.config.summary(), w.config.summary()) << i;
+    const estimator::PerfPrediction& a = g.predicted;
+    const estimator::PerfPrediction& b = w.predicted;
+    ASSERT_EQ(bits(a.time_s), bits(b.time_s)) << i;
+    ASSERT_EQ(bits(a.memory_gb), bits(b.memory_gb)) << i;
+    ASSERT_EQ(bits(a.accuracy), bits(b.accuracy)) << i;
+    ASSERT_EQ(bits(a.batch_nodes), bits(b.batch_nodes)) << i;
+    ASSERT_EQ(bits(a.batch_edges), bits(b.batch_edges)) << i;
+    ASSERT_EQ(bits(a.cache_hit_rate), bits(b.cache_hit_rate)) << i;
+    ASSERT_EQ(bits(a.overlap_ratio), bits(b.overlap_ratio)) << i;
+    ASSERT_EQ(bits(a.overlap_ratio_analytic), bits(b.overlap_ratio_analytic))
+        << i;
+    ASSERT_EQ(a.overlap_fitted, b.overlap_fitted) << i;
+  }
+  std::vector<PerfPoint> points;
+  for (const Candidate& c : want) points.push_back(c.point());
+  EXPECT_EQ(got.pareto, pareto_front(points));
+  EXPECT_EQ(got.stats.nodes_visited, want_stats.nodes_visited);
+  EXPECT_EQ(got.stats.subtrees_pruned, want_stats.subtrees_pruned);
+  EXPECT_EQ(got.stats.leaves_evaluated, want_stats.leaves_evaluated);
+  EXPECT_EQ(got.stats.feasible, want_stats.feasible);
+}
+
+TEST_F(ExplorerFixture, ExploreMatchesSerialReferenceBitwise) {
+  // The wave's parts, concatenated, are the serial DFS: its candidates
+  // and predictions in order, its front, and the traversal counts
+  // pinned below (plus one leaf per template), at any pool size.
+  struct Budget {
+    double gb;
+    std::size_t visited;
+    std::size_t pruned;
+    std::size_t leaves;
+  };
+  const DesignSpace space = DesignSpace::full(BaseSettings{});
+  const std::size_t templates = runtime::all_templates().size();
+  support::ThreadPool pool1(1);
+  support::ThreadPool pool4(4);
+  for (const Budget& b : {Budget{0.0, 30100, 0, 10944},
+                          Budget{0.8, 26932, 48, 9216},
+                          Budget{0.65, 17428, 192, 4032}}) {
+    RuntimeConstraints budget;
+    budget.max_memory_gb = b.gb;
+    const std::vector<Candidate> want =
+        serial_reference(space, *est_, *stats_, budget, true);
+    for (support::ThreadPool* pool : {&pool1, &pool4}) {
+      SCOPED_TRACE(std::to_string(b.gb) + " GB, " +
+                   std::to_string(pool->size()) + " workers");
+      Explorer explorer(space, *est_, *stats_);
+      explorer.set_pool(pool);
+      expect_same_result(
+          explorer.explore(budget, runtime::all_templates()), want,
+          {b.visited, b.pruned, b.leaves + templates, want.size()});
+    }
+  }
+}
+
+TEST_F(ExplorerFixture, ExhaustiveMatchesSerialReferenceBitwise) {
+  // The same wave with the bound off: every valid config is a leaf and
+  // a visited node, and none is pruned.
+  const DesignSpace space = DesignSpace::full(BaseSettings{});
+  const std::size_t valid = space.enumerate().size();
+  support::ThreadPool pool1(1);
+  support::ThreadPool pool4(4);
+  for (const double gb : {0.0, 0.8, 0.65}) {
+    RuntimeConstraints budget;
+    budget.max_memory_gb = gb;
+    const std::vector<Candidate> want =
+        serial_reference(space, *est_, *stats_, budget, false);
+    for (support::ThreadPool* pool : {&pool1, &pool4}) {
+      SCOPED_TRACE(std::to_string(gb) + " GB, " +
+                   std::to_string(pool->size()) + " workers");
+      Explorer explorer(space, *est_, *stats_);
+      explorer.set_pool(pool);
+      expect_same_result(explorer.explore_exhaustive(budget), want,
+                         {valid, 0, valid, want.size()});
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 // train real models, so this is the slowest test file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "estimator/perf_estimator.hpp"
 #include "estimator/profile_collector.hpp"
 #include "ml/metrics.hpp"
+#include "ml/ridge.hpp"
 #include "runtime/templates.hpp"
 #include "support/error.hpp"
 #include "support/string_utils.hpp"
@@ -487,6 +489,112 @@ TEST_F(EstimatorFixture, BatchNodesAreTheBatchSizeModelsPrediction) {
     ASSERT_EQ(bits(est.predict(c, *stats_).batch_nodes),
               bits(est.batch_size_model().predict(c, *stats_, *hw_)))
         << c.summary();
+  }
+}
+
+TEST_F(EstimatorFixture, OverlapRatiosMatchAnIndependentRecomputation) {
+  // Eq. 4's analytic ratio and the fitted overlap ratio, recomputed over
+  // the full space (pipelined and not) straight from the white-box
+  // helpers, without the analytic shape the estimator shares between
+  // them: the stage times at the floored batch shape, OverlapModel's
+  // eleven columns, and its ridge refitted on the eligible corpus rows.
+  PerfEstimator est(*hw_);
+  est.fit(*corpus_);
+  ASSERT_TRUE(est.overlap_model().is_fitted());
+  const hw::CostModel cost(*hw_);
+  const auto stage_times = [&](const runtime::TrainConfig& c,
+                               const DatasetStats& s, double* b_nodes) {
+    *b_nodes = std::max(analytic_batch_nodes(c, s), 1.0);
+    const double b_edges = *b_nodes * std::max(s.profile.avg_degree, 1.0);
+    return cost.iteration_times(analytic_iteration_volumes(
+        c, s, *b_nodes, b_edges, analytic_cache_hit_prior(c, s)));
+  };
+  const auto ratio = [](double r) { return std::clamp(r, 0.25, 1.5); };
+  const auto overlap_row = [&](const runtime::TrainConfig& c,
+                               const DatasetStats& s, std::size_t depth,
+                               std::size_t workers, double push, double pop,
+                               double occupancy) {
+    double b_nodes = 0.0;
+    const hw::IterationTimes t = stage_times(c, s, &b_nodes);
+    const double seq = std::max(t.sequential(), 1e-12);
+    const double host = t.t_sample + t.t_transfer;
+    const double device = t.t_replace + t.t_compute;
+    const bool chained = c.bias_rate > 0.0;
+    const std::size_t depth_floor = std::max<std::size_t>(depth, 1);
+    const double w = chained ? 1.0
+                             : static_cast<double>(std::clamp<std::size_t>(
+                                   workers, 1, depth_floor));
+    return std::vector<double>{
+        ratio(std::max(host, device) / seq),
+        host / seq,
+        t.t_compute / seq,
+        std::max({t.t_sample, t.t_transfer, t.t_compute + t.t_replace}) / seq,
+        std::log(b_nodes),
+        std::log2(static_cast<double>(depth_floor)),
+        std::log2(std::max(w, 1.0)),
+        chained ? 1.0 : 0.0,
+        push,
+        pop,
+        occupancy};
+  };
+  std::vector<const ProfiledRun*> eligible;
+  std::vector<double> push, pop, occupancy;
+  double mean_push = 0.0, mean_pop = 0.0, mean_occupancy = 0.0;
+  for (const ProfiledRun& run : *corpus_) {
+    if (!OverlapModel::row_eligible(run)) continue;
+    const runtime::PipelineReport& p = run.report.pipeline;
+    const double batches = std::max(
+        1.0, static_cast<double>(run.report.iterations_per_epoch));
+    eligible.push_back(&run);
+    push.push_back(static_cast<double>(p.push_stalls) / batches);
+    pop.push_back(static_cast<double>(p.pop_stalls) / batches);
+    occupancy.push_back(
+        p.mean_queue_occupancy /
+        static_cast<double>(std::max<std::size_t>(p.prefetch_depth, 1)));
+    mean_push += push.back();
+    mean_pop += pop.back();
+    mean_occupancy += occupancy.back();
+  }
+  const double rows = static_cast<double>(eligible.size());
+  mean_push /= rows;
+  mean_pop /= rows;
+  mean_occupancy /= rows;
+  ml::Matrix x;
+  std::vector<double> y;
+  for (std::size_t i = 0; i < eligible.size(); ++i) {
+    const ProfiledRun& run = *eligible[i];
+    x.push_back(overlap_row(run.config, run.stats,
+                            run.report.pipeline.prefetch_depth,
+                            run.report.pipeline.sampler_workers, push[i],
+                            pop[i], occupancy[i]));
+    y.push_back(std::log(OverlapModel::measured_ratio(run.report)));
+  }
+  ml::RidgeRegressor ridge(1e-2);
+  ridge.fit(x, y);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (runtime::TrainConfig c :
+       dse::DesignSpace::full(dse::BaseSettings{}).enumerate()) {
+    for (const bool pipelined : {true, false}) {
+      c.pipeline_overlap = pipelined;
+      double analytic = 1.0;
+      double fitted = 1.0;
+      if (pipelined) {
+        double b_nodes = 0.0;
+        const hw::IterationTimes t = stage_times(c, *stats_, &b_nodes);
+        const double seq = t.sequential();
+        analytic = seq > 0.0 ? t.overlapped() / seq : 1.0;
+        fitted = ratio(std::exp(ridge.predict_one(overlap_row(
+            c, *stats_, 4, 4, mean_push, mean_pop, mean_occupancy))));
+      }
+      const PerfPrediction p = est.predict(c, *stats_);
+      ASSERT_EQ(bits(p.overlap_ratio_analytic), bits(analytic))
+          << c.summary();
+      ASSERT_EQ(bits(p.overlap_ratio), bits(fitted)) << c.summary();
+      ASSERT_EQ(bits(est.predict_overlap_ratio(c, *stats_, {4, 4})),
+                bits(fitted))
+          << c.summary();
+    }
   }
 }
 

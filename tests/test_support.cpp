@@ -2,7 +2,10 @@
 // string utilities, tables, config maps, and descriptive stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <future>
@@ -328,6 +331,52 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4, 5}, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4, 5}, 1.0), 5.0);
   EXPECT_THROW(percentile({1.0}, 1.5), Error);
+}
+
+// The sort-based definition percentile had before it selected, kept as
+// the reference its bits must equal.
+double sorted_percentile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+TEST(Stats, PercentileBySelectionMatchesSortBitwise) {
+  Rng rng(41);
+  // An empty choice set draws continuous values; the others give ties,
+  // and the last one signed zeros among them.
+  const std::vector<std::vector<double>> choices = {
+      {}, {1.0, 2.0, 3.0}, {-0.0, 0.0, 1.5, -2.0}};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t zero_results = 0;
+  for (const std::size_t n : {1, 2, 3, 4, 5, 8, 17, 64, 101, 1000, 10950}) {
+    for (const auto& values : choices) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<double> xs(n);
+        for (double& x : xs) {
+          x = values.empty() ? rng.uniform(-5.0, 5.0)
+                             : values[rng.uniform_index(values.size())];
+        }
+        for (const double q : {0.0, 0.25, 0.5, 0.9, 1.0}) {
+          const double selected = percentile(xs, q);
+          const double sorted = sorted_percentile(xs, q);
+          if (sorted == 0.0) ++zero_results;
+          if (bits(selected) == bits(sorted)) continue;
+          // Only a zero's sign may differ: both order statistics were
+          // zeros, and which of the equal -0/+0 lands at a position is
+          // unspecified for the (unstable) sort as much as for selection.
+          ASSERT_TRUE(selected == 0.0 && sorted == 0.0)
+              << "n " << n << " choices " << values.size() << " trial "
+              << trial << " q " << q << ": " << selected << " vs "
+              << sorted;
+        }
+      }
+    }
+  }
+  EXPECT_GT(zero_results, 0u);  // the signed-zero draws reach a zero
 }
 
 TEST(Stats, PearsonCorrelation) {
