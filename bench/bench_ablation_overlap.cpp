@@ -18,9 +18,9 @@
 // correction next to the bare Eq. 4 max() — both against the measured
 // executor wall of a *separate* depth-4 run. That eval run's wall was
 // never seen by the fit, but its shape was profiled (the production
-// regime: sweep once, predict future runs); bench_pipeline reports the
-// complementary held-out-depth split, where depth 4 is excluded from
-// fitting entirely.
+// regime: sweep once, predict future runs). test_overlap_model checks
+// the complementary split: held-out corpus rows whose configs the fit
+// never saw.
 #include <cmath>
 #include <cstdio>
 
@@ -88,8 +88,7 @@ int main() {
     // across executor shapes. The eval rows above are distinct
     // executions whose measured walls the fit never sees, but depth 4
     // itself is in the sweep — this table scores the
-    // profile-once-predict-reruns regime; bench_pipeline holds the
-    // whole depth out instead.
+    // profile-once-predict-reruns regime.
     const struct {
       std::size_t depth, workers;
     } kSweep[] = {{1, 1}, {2, 2}, {4, 4}, {8, 4}};
@@ -161,9 +160,8 @@ int main() {
   }
   std::printf(
       "\ngray-box overlap arm (fitted on %zu async sweep rows, evaluated\n"
-      "on separate depth-4 runs — unseen walls, profiled shape; see\n"
-      "bench_pipeline for the held-out-depth split. Walls are the\n"
-      "executor's real epoch wall-clock):\n\n%s\n",
+      "on separate depth-4 runs — unseen walls, profiled shape. Walls\n"
+      "are the executor's real epoch wall-clock):\n\n%s\n",
       model.training_rows(), graybox.to_ascii().c_str());
   if (evaluated > 0) {
     std::printf("aggregate wall MAE: fitted %.4fs vs Eq.4 %.4fs (%s)\n",

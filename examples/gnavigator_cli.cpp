@@ -29,11 +29,14 @@
 // text exposition of the metrics registry. Either flag alone works.
 //
 // An unknown flag (e.g. a typo like --epoch) is an error: the CLI exits 1
-// listing the flags it knows, before any dataset is loaded.
+// listing the flags it knows, before any dataset is loaded. So is a count
+// (--epochs, --pipeline-depth, --serve-jobs, --serve-tenants) below 1, or
+// an --epochs above INT_MAX.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -79,6 +82,23 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
     args[key] = argv[++i];
   }
   return args;
+}
+
+/// Reads the count flag --`name` (or `fallback` when absent) and checks
+/// 1 <= n <= `max` on the signed value, before any cast: a "-1" must not
+/// wrap to SIZE_MAX, nor 4294967297 narrow to 1.
+long long count_flag(const std::map<std::string, std::string>& args,
+                     const std::string& name, long long fallback,
+                     long long max = std::numeric_limits<long long>::max()) {
+  const long long n = args.contains(name) ? parse_int(args.at(name)) : fallback;
+  if (n < 1) {
+    throw Error("--" + name + " must be >= 1, got " + std::to_string(n));
+  }
+  if (n > max) {
+    throw Error("--" + name + " must be <= " + std::to_string(max) +
+                ", got " + std::to_string(n));
+  }
+  return n;
 }
 
 dse::ExploreTargets priority_by_name(const std::string& name) {
@@ -133,9 +153,14 @@ int main(int argc, char** argv) {
         args.contains("model") ? args.at("model") : "sage";
     const std::string priority_name =
         args.contains("priority") ? args.at("priority") : "balance";
-    const int epochs = args.contains("epochs")
-                           ? static_cast<int>(parse_int(args.at("epochs")))
-                           : 4;
+    // Counts are checked here, before the dataset loads, so a bad one
+    // fails at once instead of after profiling.
+    const int epochs = static_cast<int>(
+        count_flag(args, "epochs", 4, std::numeric_limits<int>::max()));
+    const auto n_jobs =
+        static_cast<std::size_t>(count_flag(args, "serve-jobs", 1));
+    const auto tenants =
+        static_cast<std::size_t>(count_flag(args, "serve-tenants", 2));
     // Executor flags are forwarded through the environment — the
     // navigator's RunOptions default from GNAV_PIPELINE*.
     if (args.contains("pipeline")) {
@@ -143,8 +168,7 @@ int main(int argc, char** argv) {
       ::setenv("GNAV_PIPELINE", args.at("pipeline").c_str(), 1);
     }
     if (args.contains("pipeline-depth")) {
-      GNAV_CHECK(parse_int(args.at("pipeline-depth")) >= 1,
-                 "--pipeline-depth must be >= 1");
+      count_flag(args, "pipeline-depth", 1);  // validate
       ::setenv("GNAV_PIPELINE_DEPTH", args.at("pipeline-depth").c_str(), 1);
     }
     // --backend picks the compute backend for every run below. The scope
@@ -213,15 +237,6 @@ int main(int argc, char** argv) {
     }
 
     if (args.contains("serve-jobs")) {
-      const auto n_jobs =
-          static_cast<std::size_t>(parse_int(args.at("serve-jobs")));
-      const auto tenants =
-          args.contains("serve-tenants")
-              ? static_cast<std::size_t>(parse_int(args.at("serve-tenants")))
-              : 2;
-      GNAV_CHECK(n_jobs >= 1, "--serve-jobs must be >= 1");
-      GNAV_CHECK(tenants >= 1, "--serve-tenants must be >= 1");
-
       runtime::TrainConfig pyg = runtime::template_by_name("pyg");
       pyg.model = base.model;
       pyg.num_layers = base.num_layers;

@@ -63,9 +63,9 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body);
 
   /// Jobs enqueued but not yet claimed by a worker — a backlog snapshot
-  /// for load diagnostics (bench_serve reports it while tenants contend
-  /// for the shared pool). Instantaneous and racy by nature: by the time
-  /// the caller looks, workers may already have drained it.
+  /// for load diagnostics (bench_e2e samples it during serve-mixed's drain
+  /// as support.pool_peak_pending). Instantaneous and racy by nature: by
+  /// the time the caller looks, workers may already have drained it.
   std::size_t pending() const GNAV_EXCLUDES(mutex_);
 
   /// True on a thread owned by any ThreadPool (or inside an

@@ -3,8 +3,9 @@
 // every callback on the calling thread; async: ordering, bounded
 // prefetch), error propagation, the env-knob validation, and the
 // headline contract — the async shape's TrainReport is bit-identical to
-// the inline shape's for every template configuration at any worker
-// count and prefetch depth (only wall-clock observables differ).
+// the inline shape's for every template configuration, and for the two
+// samplers no template uses, at any worker count and prefetch depth
+// (only wall-clock observables differ).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,7 @@
 #include "runtime/backend.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/templates.hpp"
+#include "sampling/sampler.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/staged_queue.hpp"
@@ -491,12 +493,33 @@ void expect_reports_bit_identical(const runtime::TrainReport& sync_r,
             async_r.pipeline.modeled_sequential_s);
 }
 
+/// A template by name, or pyg with "cluster" or "saint_node" sampling,
+/// the two samplers no template uses (cluster with hop list {-1}, as
+/// random_config draws it).
+runtime::TrainConfig bit_identity_config(const std::string& name) {
+  if (name != "cluster" && name != "saint_node") {
+    return runtime::template_by_name(name);
+  }
+  runtime::TrainConfig config = runtime::template_pyg();
+  config.sampler = sampling::sampler_kind_from_string(name);
+  if (config.sampler == sampling::SamplerKind::kCluster) config.hop_list = {-1};
+  return config;
+}
+
+std::string param_name(const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
 class ExecutorBitIdentity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ExecutorBitIdentity, AsyncMatchesSyncForTemplate) {
   const graph::Dataset ds = small_dataset();
   runtime::RuntimeBackend backend(ds, hw::make_profile("rtx4090"));
-  runtime::TrainConfig config = runtime::template_by_name(GetParam());
+  runtime::TrainConfig config = bit_identity_config(GetParam());
   config.batch_size = 128;
 
   runtime::RunOptions sync_opts;
@@ -515,19 +538,24 @@ TEST_P(ExecutorBitIdentity, AsyncMatchesSyncForTemplate) {
   EXPECT_EQ(sync_r.pipeline.executor, "sync");
   EXPECT_EQ(async_r.pipeline.executor, "async");
   EXPECT_EQ(async_r.pipeline.prefetch_depth, 2u);
+  // Two workers sample concurrently, except under biased sampling, whose
+  // sampling chains onto one producer.
+  EXPECT_EQ(async_r.pipeline.sampler_workers,
+            config.bias_rate > 0.0 ? 1u : 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Templates, ExecutorBitIdentity,
                          ::testing::Values("pyg", "pagraph-full",
                                            "pagraph-low", "2pgraph",
                                            "graphsaint", "fastgcn"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
-                         });
+                         param_name);
+
+// The profile collector draws both samplers and runs every 4th row
+// async; the two sampler workers then share the cluster sampler's
+// lazily built, mutex-guarded partition cache.
+INSTANTIATE_TEST_SUITE_P(Samplers, ExecutorBitIdentity,
+                         ::testing::Values("cluster", "saint_node"),
+                         param_name);
 
 TEST(ExecutorBitIdentity, HoldsAcrossWorkersAndDepths) {
   const graph::Dataset ds = small_dataset();

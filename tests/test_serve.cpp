@@ -7,7 +7,8 @@
 //     by priority;
 //   - contention bit-identity: N jobs submitted together each produce a
 //     TrainReport whose data fields are identical to running the job
-//     alone (timing fields excluded), at pool sizes {1, 2, 8};
+//     alone (timing fields excluded), at pool sizes {1, 2, 8} × max_active
+//     {1, 2, 4};
 //   - backend isolation: concurrent jobs with different compute backend
 //     ids never read each other's selection — covered by the TSan CI job
 //     together with the rest of this file;
@@ -377,21 +378,25 @@ TEST_F(ServeContention, ReportsMatchSoloAtPoolSizes1_2_8) {
   }
 
   for (const std::size_t pool_size : {1u, 2u, 8u}) {
-    SCOPED_TRACE("pool size " + std::to_string(pool_size));
-    support::ThreadPool pool(pool_size);
-    SchedulerOptions options;
-    options.pool = &pool;
-    options.seed = 7;
-    options.max_active = 2;
-    JobScheduler sched(*backend_, *est_, *stats_, options);
-    for (const JobRequest& req : make_jobs()) sched.submit(req);
-    const DrainStats stats = sched.drain();
-    EXPECT_EQ(stats.completed, 4u);
-    EXPECT_EQ(stats.failed, 0u);
-    for (std::size_t id = 0; id < 4; ++id) {
-      SCOPED_TRACE("job " + std::to_string(id));
-      ASSERT_EQ(sched.outcome(id).state, JobState::kDone);
-      expect_reports_bit_identical(solo[id], sched.outcome(id).report);
+    // 1 active job runs the four back to back; 4 runs all at once.
+    for (const std::size_t max_active : {1u, 2u, 4u}) {
+      SCOPED_TRACE("pool size " + std::to_string(pool_size) +
+                   ", max_active " + std::to_string(max_active));
+      support::ThreadPool pool(pool_size);
+      SchedulerOptions options;
+      options.pool = &pool;
+      options.seed = 7;
+      options.max_active = max_active;
+      JobScheduler sched(*backend_, *est_, *stats_, options);
+      for (const JobRequest& req : make_jobs()) sched.submit(req);
+      const DrainStats stats = sched.drain();
+      EXPECT_EQ(stats.completed, 4u);
+      EXPECT_EQ(stats.failed, 0u);
+      for (std::size_t id = 0; id < 4; ++id) {
+        SCOPED_TRACE("job " + std::to_string(id));
+        ASSERT_EQ(sched.outcome(id).state, JobState::kDone);
+        expect_reports_bit_identical(solo[id], sched.outcome(id).report);
+      }
     }
   }
 }
