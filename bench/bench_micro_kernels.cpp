@@ -272,10 +272,12 @@ BENCHMARK(BM_GnnTrainStep)
     ->Arg(static_cast<int>(nn::ModelKind::kGat));
 
 /// One boosted ensemble's predictions for a full-space DSE query: 10950
-/// rows of 31 features, the estimator's row width. arg: boosting shape,
-/// 0 = 40 rounds of depth 2 fitted on 32 rows (the shape of a
-/// leave-one-dataset-out corpus under 96 rows), 1 = the default 80 rounds
-/// of depth 3 fitted on 128 rows.
+/// rows of 31 features, the estimator's row width, read from one
+/// feature-major block as PerfEstimator::predict writes it (the block
+/// path: the AVX2 complete-tree kernel under kAuto on an AVX2 host).
+/// arg: boosting shape, 0 = 40 rounds of depth 2 fitted on 32 rows (the
+/// shape of a leave-one-dataset-out corpus under 96 rows), 1 = the
+/// default 80 rounds of depth 3 fitted on 128 rows.
 void BM_EnsemblePredict(benchmark::State& state) {
   constexpr std::size_t kFeatures = 31;
   const bool small = state.range(0) == 0;
@@ -304,9 +306,17 @@ void BM_EnsemblePredict(benchmark::State& state) {
   ml::GradientBoostingRegressor model(params);
   model.fit(train, y);
   const ml::Matrix rows = draw_rows(10950);
+  std::vector<double> block(kFeatures * rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      block[f * rows.size() + r] = rows[r][f];
+    }
+  }
+  std::vector<double> out(rows.size());
   for (auto _ : state) {
-    const std::vector<double> out = model.predict(rows);
+    model.predict_columns(block, rows.size(), out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.counters["rounds"] = static_cast<double>(model.round_count());
   state.SetItemsProcessed(state.iterations() *

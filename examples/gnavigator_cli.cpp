@@ -29,15 +29,19 @@
 // text exposition of the metrics registry. Either flag alone works.
 //
 // An unknown flag (e.g. a typo like --epoch) is an error: the CLI exits 1
-// listing the flags it knows, before any dataset is loaded. So is a count
-// (--epochs, --pipeline-depth, --serve-jobs, --serve-tenants) below 1, or
-// an --epochs above INT_MAX.
+// listing the flags it knows, before any dataset is loaded. So is a value
+// that does not parse, a count (--epochs, --pipeline-depth, --serve-jobs,
+// --serve-tenants) below 1 or an --epochs above INT_MAX, a --max-memory-gb
+// or --max-epoch-s that is not finite and > 0, a --min-accuracy outside
+// (0, 1], and an unknown --priority; every such message names its flag.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "compute/backend.hpp"
@@ -84,13 +88,26 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
   return args;
 }
 
+/// Parses --`name`'s value with `parse`, naming the flag on failure.
+template <typename Parse>
+auto parse_flag(const std::map<std::string, std::string>& args,
+                const std::string& name, Parse parse) {
+  try {
+    return parse(args.at(name));
+  } catch (const Error&) {
+    throw Error("--" + name + " must be a number, got '" + args.at(name) +
+                "'");
+  }
+}
+
 /// Reads the count flag --`name` (or `fallback` when absent) and checks
 /// 1 <= n <= `max` on the signed value, before any cast: a "-1" must not
 /// wrap to SIZE_MAX, nor 4294967297 narrow to 1.
 long long count_flag(const std::map<std::string, std::string>& args,
                      const std::string& name, long long fallback,
                      long long max = std::numeric_limits<long long>::max()) {
-  const long long n = args.contains(name) ? parse_int(args.at(name)) : fallback;
+  const long long n =
+      args.contains(name) ? parse_flag(args, name, parse_int) : fallback;
   if (n < 1) {
     throw Error("--" + name + " must be >= 1, got " + std::to_string(n));
   }
@@ -101,12 +118,27 @@ long long count_flag(const std::map<std::string, std::string>& args,
   return n;
 }
 
+/// Reads the optional real flag --`name` (nullopt when absent) and checks
+/// it is finite and > 0, and also <= 1 when it is a `fraction`.
+std::optional<double> positive_flag(
+    const std::map<std::string, std::string>& args, const std::string& name,
+    bool fraction = false) {
+  if (!args.contains(name)) return std::nullopt;
+  const double v = parse_flag(args, name, parse_double);
+  if (!std::isfinite(v) || v <= 0.0 || (fraction && v > 1.0)) {
+    throw Error("--" + name +
+                (fraction ? " must be in (0, 1]" : " must be finite and > 0") +
+                ", got '" + args.at(name) + "'");
+  }
+  return v;
+}
+
 dse::ExploreTargets priority_by_name(const std::string& name) {
   if (name == "balance" || name == "bal") return dse::targets_balance();
   if (name == "ex-tm") return dse::targets_extreme_time_memory();
   if (name == "ex-ma") return dse::targets_extreme_memory_accuracy();
   if (name == "ex-ta") return dse::targets_extreme_time_accuracy();
-  throw Error("unknown priority '" + name +
+  throw Error("--priority: unknown priority '" + name +
               "' (balance | ex-tm | ex-ma | ex-ta)");
 }
 
@@ -153,14 +185,21 @@ int main(int argc, char** argv) {
         args.contains("model") ? args.at("model") : "sage";
     const std::string priority_name =
         args.contains("priority") ? args.at("priority") : "balance";
-    // Counts are checked here, before the dataset loads, so a bad one
-    // fails at once instead of after profiling.
+    // Numbers and the priority are checked here, before the dataset
+    // loads, so a bad one fails at once instead of after profiling.
     const int epochs = static_cast<int>(
         count_flag(args, "epochs", 4, std::numeric_limits<int>::max()));
     const auto n_jobs =
         static_cast<std::size_t>(count_flag(args, "serve-jobs", 1));
     const auto tenants =
         static_cast<std::size_t>(count_flag(args, "serve-tenants", 2));
+    const std::optional<double> max_memory_gb =
+        positive_flag(args, "max-memory-gb");
+    const std::optional<double> max_epoch_s =
+        positive_flag(args, "max-epoch-s");
+    const std::optional<double> min_accuracy =
+        positive_flag(args, "min-accuracy", /*fraction=*/true);
+    const dse::ExploreTargets targets = priority_by_name(priority_name);
     // Executor flags are forwarded through the environment — the
     // navigator's RunOptions default from GNAV_PIPELINE*.
     if (args.contains("pipeline")) {
@@ -208,18 +247,11 @@ int main(int argc, char** argv) {
 
     dse::RuntimeConstraints constraints;
     constraints.max_memory_gb =
-        args.contains("max-memory-gb")
-            ? parse_double(args.at("max-memory-gb"))
-            : nav.hardware().device.memory_gb;
-    if (args.contains("max-epoch-s")) {
-      constraints.max_epoch_time_s = parse_double(args.at("max-epoch-s"));
-    }
-    if (args.contains("min-accuracy")) {
-      constraints.min_accuracy = parse_double(args.at("min-accuracy"));
-    }
+        max_memory_gb.value_or(nav.hardware().device.memory_gb);
+    if (max_epoch_s) constraints.max_epoch_time_s = *max_epoch_s;
+    if (min_accuracy) constraints.min_accuracy = *min_accuracy;
 
-    const auto guideline =
-        nav.generate_guideline(priority_by_name(priority_name), constraints);
+    const auto guideline = nav.generate_guideline(targets, constraints);
     std::printf("\ngenerated guideline (%s):\n%s\n", priority_name.c_str(),
                 guideline.text.c_str());
     std::printf("explored %zu candidates, pruned %zu subtrees\n",

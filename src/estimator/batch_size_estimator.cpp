@@ -42,20 +42,21 @@ double GrayBoxBatchSizeEstimator::predict(
     const hw::HardwareProfile& hw) const {
   const AnalyticShape shape =
       analytic_shape(config, stats, hw::CostModel(hw));
+  // One row is a feature-major block of stride 1.
   const std::vector<double> row = extract_features(config, stats, hw, shape);
   double out = 0.0;
-  predict_rows({&config, 1}, stats, {&shape, 1}, {&row, 1}, {&out, 1});
+  predict_rows({&config, 1}, stats, {&shape, 1}, row, 1, {&out, 1});
   return out;
 }
 
 void GrayBoxBatchSizeEstimator::predict_rows(
     std::span<const runtime::TrainConfig> configs, const DatasetStats& stats,
-    std::span<const AnalyticShape> shapes,
-    std::span<const std::vector<double>> rows, std::span<double> out) const {
+    std::span<const AnalyticShape> shapes, std::span<const double> features,
+    std::size_t stride, std::span<double> out) const {
   GNAV_CHECK(fitted_, "predict before fit");
-  GNAV_CHECK(configs.size() == rows.size() && configs.size() == shapes.size(),
-             "config/shape/row count mismatch");
-  penalty_model_.predict_block(rows, out);  // log penalties
+  GNAV_CHECK(configs.size() == out.size() && configs.size() == shapes.size(),
+             "config/shape/output count mismatch");
+  penalty_model_.predict_columns(features, stride, out);  // log penalties
   const double n = static_cast<double>(stats.profile.num_nodes);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const double analytic = shapes[i].batch_nodes;

@@ -30,12 +30,13 @@ class GrayBoxBatchSizeEstimator {
                  const DatasetStats& stats,
                  const hw::HardwareProfile& hw) const;
   /// out[i] = predict(configs[i], stats, hw), given each config's
-  /// analytic shape on `hw` and its feature row:
-  /// rows[i] = extract_features(configs[i], stats, hw, shapes[i]).
+  /// analytic shape on `hw` and a feature-major block of their feature
+  /// rows: feature f of config i at features[f * stride + i], as
+  /// write_features(configs[i], stats, hw, shapes[i], ...) writes it.
   void predict_rows(std::span<const runtime::TrainConfig> configs,
                     const DatasetStats& stats,
                     std::span<const AnalyticShape> shapes,
-                    std::span<const std::vector<double>> rows,
+                    std::span<const double> features, std::size_t stride,
                     std::span<double> out) const;
   bool is_fitted() const { return fitted_; }
 

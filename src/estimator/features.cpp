@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sampling/batch_size_model.hpp"
+#include "support/error.hpp"
 
 namespace gnav::estimator {
 namespace {
@@ -190,6 +191,15 @@ std::vector<double> extract_features(const runtime::TrainConfig& config,
                                      const DatasetStats& stats,
                                      const hw::HardwareProfile& hw,
                                      const AnalyticShape& analytic) {
+  std::vector<double> f(kFeatureCount);
+  write_features(config, stats, hw, analytic, f.data(), 1);
+  return f;
+}
+
+void write_features(const runtime::TrainConfig& config,
+                    const DatasetStats& stats, const hw::HardwareProfile& hw,
+                    const AnalyticShape& analytic, double* out,
+                    std::size_t stride) {
   double fanout_sum = 0.0;
   for (int k : config.hop_list) {
     fanout_sum += (k == -1) ? stats.profile.avg_degree
@@ -207,44 +217,43 @@ std::vector<double> extract_features(const runtime::TrainConfig& config,
       config.cache_policy == cache::CachePolicy::kFifo ||
       config.cache_policy == cache::CachePolicy::kWeightedDegree;
 
-  std::vector<double> f;
-  f.reserve(feature_names().size());
-  f.push_back(std::log(static_cast<double>(config.batch_size)));
-  f.push_back(static_cast<double>(config.hop_list.size()));
-  f.push_back(mean_fanout);
-  f.push_back(std::log(std::max(bound, 1.0)));
-  f.push_back(std::log(std::max(analytic.batch_nodes, 1.0)));
-  f.push_back(config.sampler == sampling::SamplerKind::kNodeWise ? 1.0 : 0.0);
-  f.push_back(config.sampler == sampling::SamplerKind::kLayerWise ? 1.0 : 0.0);
-  f.push_back(saint ? 1.0 : 0.0);
-  f.push_back(config.bias_rate);
-  f.push_back(config.cache_ratio);
-  f.push_back(dynamic_cache ? 1.0 : 0.0);
-  f.push_back(analytic.hit_prior);
-  f.push_back(static_cast<double>(config.hidden_dim));
-  f.push_back(static_cast<double>(config.num_layers));
-  f.push_back(config.sampler == sampling::SamplerKind::kCluster ? 1.0
-                                                                 : 0.0);
-  f.push_back(config.model == nn::ModelKind::kGcn ? 1.0 : 0.0);
-  f.push_back(config.model == nn::ModelKind::kSage ? 1.0 : 0.0);
-  f.push_back(config.model == nn::ModelKind::kGat ? 1.0 : 0.0);
-  f.push_back(config.reorder ? 1.0 : 0.0);
-  f.push_back(config.compress_features ? 1.0 : 0.0);
-  f.push_back(config.pipeline_overlap ? 1.0 : 0.0);
-  f.push_back(std::log(static_cast<double>(
+  std::size_t next = 0;
+  const auto put = [&](double v) { out[next++ * stride] = v; };
+  put(std::log(static_cast<double>(config.batch_size)));
+  put(static_cast<double>(config.hop_list.size()));
+  put(mean_fanout);
+  put(std::log(std::max(bound, 1.0)));
+  put(std::log(std::max(analytic.batch_nodes, 1.0)));
+  put(config.sampler == sampling::SamplerKind::kNodeWise ? 1.0 : 0.0);
+  put(config.sampler == sampling::SamplerKind::kLayerWise ? 1.0 : 0.0);
+  put(saint ? 1.0 : 0.0);
+  put(config.bias_rate);
+  put(config.cache_ratio);
+  put(dynamic_cache ? 1.0 : 0.0);
+  put(analytic.hit_prior);
+  put(static_cast<double>(config.hidden_dim));
+  put(static_cast<double>(config.num_layers));
+  put(config.sampler == sampling::SamplerKind::kCluster ? 1.0 : 0.0);
+  put(config.model == nn::ModelKind::kGcn ? 1.0 : 0.0);
+  put(config.model == nn::ModelKind::kSage ? 1.0 : 0.0);
+  put(config.model == nn::ModelKind::kGat ? 1.0 : 0.0);
+  put(config.reorder ? 1.0 : 0.0);
+  put(config.compress_features ? 1.0 : 0.0);
+  put(config.pipeline_overlap ? 1.0 : 0.0);
+  put(std::log(static_cast<double>(
       std::max<graph::NodeId>(stats.profile.num_nodes, 2))));
-  f.push_back(std::log(static_cast<double>(
+  put(std::log(static_cast<double>(
       std::max<graph::EdgeId>(stats.profile.num_edges, 2))));
-  f.push_back(stats.profile.avg_degree);
-  f.push_back(stats.profile.degree_gini);
-  f.push_back(stats.profile.power_law_alpha);
-  f.push_back(static_cast<double>(stats.feature_dim));
-  f.push_back(std::log(static_cast<double>(
+  put(stats.profile.avg_degree);
+  put(stats.profile.degree_gini);
+  put(stats.profile.power_law_alpha);
+  put(static_cast<double>(stats.feature_dim));
+  put(std::log(static_cast<double>(
       std::max<std::size_t>(stats.num_train_nodes, 2))));
-  f.push_back(hw.link.bandwidth_gbps);
-  f.push_back(hw.device.compute_gflops);
-  f.push_back(hw.host.sample_throughput_per_s / 1e6);
-  return f;
+  put(hw.link.bandwidth_gbps);
+  put(hw.device.compute_gflops);
+  put(hw.host.sample_throughput_per_s / 1e6);
+  GNAV_CHECK(next == kFeatureCount, "feature count drifted from its names");
 }
 
 }  // namespace gnav::estimator

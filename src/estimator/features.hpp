@@ -6,6 +6,7 @@
 // easy to fit from few profiled runs.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,9 @@
 #include "runtime/train_config.hpp"
 
 namespace gnav::estimator {
+
+/// Width of a feature row.
+inline constexpr std::size_t kFeatureCount = 31;
 
 /// Ordered feature names (for documentation and debugging).
 const std::vector<std::string>& feature_names();
@@ -46,6 +50,13 @@ std::vector<double> extract_features(const runtime::TrainConfig& config,
                                      const DatasetStats& stats,
                                      const hw::HardwareProfile& hw,
                                      const AnalyticShape& analytic);
+/// Writes that row's feature f to out[f * stride], f < kFeatureCount:
+/// stride 1 writes a plain row; row i of a feature-major block of stride
+/// n is written through out = block + i.
+void write_features(const runtime::TrainConfig& config,
+                    const DatasetStats& stats, const hw::HardwareProfile& hw,
+                    const AnalyticShape& analytic, double* out,
+                    std::size_t stride);
 
 /// Analytic white-box helpers shared by the estimator internals.
 double analytic_batch_nodes(const runtime::TrainConfig& config,

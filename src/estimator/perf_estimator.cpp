@@ -247,11 +247,12 @@ void PerfEstimator::predict(std::span<const runtime::TrainConfig> configs,
   const std::size_t n = configs.size();
   std::vector<AnalyticShape> shapes;
   shapes.reserve(n);
-  ml::Matrix rows;
-  rows.reserve(n);
-  for (const runtime::TrainConfig& config : configs) {
-    shapes.push_back(analytic_shape(config, stats, cost_));
-    rows.push_back(extract_features(config, stats, hw_, shapes.back()));
+  // One feature-major block: feature f of config i at features[f * n + i].
+  std::vector<double> features(kFeatureCount * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    shapes.push_back(analytic_shape(configs[i], stats, cost_));
+    write_features(configs[i], stats, hw_, shapes.back(),
+                   features.data() + i, n);
   }
   // One column of n learned outputs per ensemble.
   std::vector<double> learned(7 * n);
@@ -265,13 +266,14 @@ void PerfEstimator::predict(std::span<const runtime::TrainConfig> configs,
   const std::span<double> log_t_ratio = column(4);
   const std::span<double> log_m_ratio = column(5);
   const std::span<double> acc = column(6);
-  batch_model_.predict_rows(configs, stats, shapes, rows, batch_nodes);
-  density_model_.predict_block(rows, log_density);
-  hit_model_.predict_block(rows, hit);
-  work_model_.predict_block(rows, log_work);
-  time_residual_.predict_block(rows, log_t_ratio);
-  mem_residual_.predict_block(rows, log_m_ratio);
-  acc_model_.predict_block(rows, acc);
+  batch_model_.predict_rows(configs, stats, shapes, features, n,
+                            batch_nodes);
+  density_model_.predict_columns(features, n, log_density);
+  hit_model_.predict_columns(features, n, hit);
+  work_model_.predict_columns(features, n, log_work);
+  time_residual_.predict_columns(features, n, log_t_ratio);
+  mem_residual_.predict_columns(features, n, log_m_ratio);
+  acc_model_.predict_columns(features, n, acc);
 
   for (std::size_t i = 0; i < n; ++i) {
     const runtime::TrainConfig& config = configs[i];

@@ -59,12 +59,13 @@ class PerfEstimator {
                          const DatasetStats& stats) const;
 
   /// out[i] = predict(configs[i], stats) for a block of candidates, bit
-  /// for bit: one analytic shape and one extract_features row per
-  /// config, shared by all seven boosted ensembles (the batch-size
-  /// penalty and the estimator's six heads), each evaluated over the
-  /// whole block at once, then each row's white-box tail, whose Eq. 4
-  /// ratio and overlap features read the same shape. Pure: disjoint
-  /// blocks may run concurrently.
+  /// for bit: one analytic shape per config and one feature-major block
+  /// of their feature rows (write_features), read by all seven boosted
+  /// ensembles (the batch-size penalty and the estimator's six heads),
+  /// each evaluated over the whole block at once, then each row's
+  /// white-box tail, whose Eq. 4 ratio and overlap features read the
+  /// same shape. An empty span is legal. Pure: disjoint blocks may run
+  /// concurrently.
   void predict(std::span<const runtime::TrainConfig> configs,
                const DatasetStats& stats,
                std::span<PerfPrediction> out) const;

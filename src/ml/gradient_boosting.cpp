@@ -4,8 +4,53 @@
 #include <cmath>
 
 #include "support/error.hpp"
+#include "support/simd.hpp"
+
+#if defined(GNAV_SIMD_X86)
+#include <immintrin.h>
+#endif
 
 namespace gnav::ml {
+namespace {
+
+#if defined(GNAV_SIMD_X86)
+/// Adds each of `count` complete trees of depth kDepth to out[r] for the
+/// rows r < out.size() (a multiple of 4) of the block, four rows at a
+/// time: per split slot one unordered not-less-or-equal compare (all
+/// ones where the row goes right, NaN included), then every split slot,
+/// deepest first, blends its two children's values, so slot 0 ends up
+/// holding the leaf the walk reaches. Tree is the regressor's private
+/// CompleteTree.
+template <int kDepth, typename Tree>
+__attribute__((target("avx2"))) void add_complete_trees_avx2(
+    const Tree* trees, std::size_t count, const double* cols,
+    std::size_t stride, std::span<double> out) {
+  constexpr int kSplits = (1 << kDepth) - 1;
+  for (const Tree* tree = trees; tree != trees + count; ++tree) {
+    const double* x[kSplits];
+    __m256d threshold[kSplits];
+    __m256d leaf[kSplits + 1];
+    for (int s = 0; s < kSplits; ++s) {
+      x[s] = cols + tree->feature[s] * stride;
+      threshold[s] = _mm256_set1_pd(tree->threshold[s]);
+    }
+    for (int l = 0; l <= kSplits; ++l) leaf[l] = _mm256_set1_pd(tree->leaf[l]);
+    for (std::size_t r = 0; r < out.size(); r += 4) {
+      __m256d node[2 * kSplits + 1];  // level order, leaves last
+      for (int l = 0; l <= kSplits; ++l) node[kSplits + l] = leaf[l];
+      for (int s = kSplits - 1; s >= 0; --s) {
+        const __m256d right = _mm256_cmp_pd(_mm256_loadu_pd(x[s] + r),
+                                            threshold[s], _CMP_NLE_UQ);
+        node[s] = _mm256_blendv_pd(node[2 * s + 1], node[2 * s + 2], right);
+      }
+      double* sum = out.data() + r;
+      _mm256_storeu_pd(sum, _mm256_add_pd(_mm256_loadu_pd(sum), node[0]));
+    }
+  }
+}
+#endif  // GNAV_SIMD_X86
+
+}  // namespace
 
 GradientBoostingRegressor::GradientBoostingRegressor(BoostingParams params)
     : params_(params) {
@@ -41,6 +86,7 @@ void GradientBoostingRegressor::fit(const Matrix& x,
     }
     append(tree);
   }
+  lay_out_complete_trees();
   fitted_ = true;
 }
 
@@ -67,6 +113,45 @@ void GradientBoostingRegressor::append(const DecisionTreeRegressor& tree) {
   }
 }
 
+void GradientBoostingRegressor::lay_out_complete_trees() {
+  complete_.clear();
+  if (steps_ != 2 && steps_ != 3) return;
+  const std::size_t splits = (std::size_t{1} << steps_) - 1;
+  for (const std::uint32_t root : roots_) {
+    // Flat node ids in level order. A leaf's child slots point back at
+    // the leaf, so its whole subtree repeats it: the padding.
+    std::array<std::uint32_t, 15> id{};
+    id[0] = root;
+    CompleteTree tree;
+    for (std::size_t s = 0; s < splits; ++s) {
+      const Node& nd = nodes_[id[s]];
+      tree.threshold[s] = nd.threshold;
+      tree.feature[s] = nd.feature;
+      id[2 * s + 1] = nd.child[0];
+      id[2 * s + 2] = nd.child[1];
+    }
+    for (std::size_t l = 0; l <= splits; ++l) {
+      tree.leaf[l] = nodes_[id[splits + l]].value;
+    }
+    complete_.push_back(tree);
+  }
+}
+
+void GradientBoostingRegressor::predict_columns(std::span<const double> cols,
+                                                std::size_t stride,
+                                                std::span<double> out) const {
+  GNAV_CHECK(is_fitted(), "predict before fit");
+  const std::size_t n = out.size();
+  if (n == 0) return;  // an empty block reads nothing
+  GNAV_CHECK(stride >= n && (feature_width_ == 0 ||
+                             cols.size() >= (feature_width_ - 1) * stride + n),
+             "feature index out of range in predict");
+  for (std::size_t begin = 0; begin < n; begin += kTileRows) {
+    predict_tile(cols.data() + begin, stride,
+                 out.subspan(begin, std::min(kTileRows, n - begin)));
+  }
+}
+
 void GradientBoostingRegressor::predict_block(
     std::span<const std::vector<double>> x, std::span<double> out) const {
   GNAV_CHECK(is_fitted(), "predict before fit");
@@ -75,37 +160,63 @@ void GradientBoostingRegressor::predict_block(
     GNAV_CHECK(row.size() >= feature_width_,
                "feature index out of range in predict");
   }
+  // Each tile's split features, copied feature-major.
+  std::vector<double> cols(feature_width_ * std::min(kTileRows, x.size()));
   for (std::size_t begin = 0; begin < x.size(); begin += kTileRows) {
     const std::size_t len = std::min(kTileRows, x.size() - begin);
-    const auto tile = x.subspan(begin, len);
-    const auto tile_out = out.subspan(begin, len);
-    std::fill(tile_out.begin(), tile_out.end(), base_);
-    switch (steps_) {  // the estimator's two boosting shapes
-      case 2:
-        add_trees<2>(tile, tile_out);
-        break;
-      case 3:
-        add_trees<3>(tile, tile_out);
-        break;
-      default:
-        add_trees<-1>(tile, tile_out);
-        break;
+    for (std::size_t r = 0; r < len; ++r) {
+      for (std::size_t f = 0; f < feature_width_; ++f) {
+        cols[f * len + r] = x[begin + r][f];
+      }
     }
+    predict_tile(cols.data(), len, out.subspan(begin, len));
+  }
+}
+
+void GradientBoostingRegressor::predict_tile(const double* cols,
+                                             std::size_t stride,
+                                             std::span<double> out) const {
+  std::fill(out.begin(), out.end(), base_);
+  std::size_t done = 0;  // rows the complete trees covered
+#if defined(GNAV_SIMD_X86)
+  if (!complete_.empty() && support::simd_isa() == support::SimdIsa::kAvx2) {
+    done = out.size() / 4 * 4;
+    if (steps_ == 2) {
+      add_complete_trees_avx2<2>(complete_.data(), complete_.size(), cols,
+                                 stride, out.first(done));
+    } else {
+      add_complete_trees_avx2<3>(complete_.data(), complete_.size(), cols,
+                                 stride, out.first(done));
+    }
+  }
+#endif
+  const std::span<double> rest = out.subspan(done);
+  switch (steps_) {  // the estimator's two boosting shapes
+    case 2:
+      add_trees<2>(cols + done, stride, rest);
+      break;
+    case 3:
+      add_trees<3>(cols + done, stride, rest);
+      break;
+    default:
+      add_trees<-1>(cols + done, stride, rest);
+      break;
   }
 }
 
 template <int kSteps>
-void GradientBoostingRegressor::add_trees(
-    std::span<const std::vector<double>> x, std::span<double> out) const {
+void GradientBoostingRegressor::add_trees(const double* cols,
+                                          std::size_t stride,
+                                          std::span<double> out) const {
   const int steps = kSteps >= 0 ? kSteps : steps_;
   const Node* nodes = nodes_.data();
   for (const std::uint32_t root : roots_) {
-    for (std::size_t r = 0; r < x.size(); ++r) {
-      const double* row = x[r].data();
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      const double* row = cols + r;
       std::uint32_t id = root;
       for (int s = 0; s < steps; ++s) {
         const Node& nd = nodes[id];
-        id = nd.child[!(row[nd.feature] <= nd.threshold)];
+        id = nd.child[!(row[nd.feature * stride] <= nd.threshold)];
       }
       out[r] += nodes[id].value;
     }
@@ -115,7 +226,7 @@ void GradientBoostingRegressor::add_trees(
 double GradientBoostingRegressor::predict_one(
     const std::vector<double>& x) const {
   double out = 0.0;
-  predict_block({&x, 1}, {&out, 1});
+  predict_columns(x, 1, {&out, 1});  // one row is a block of stride 1
   return out;
 }
 

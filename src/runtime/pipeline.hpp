@@ -31,7 +31,10 @@
 // order. Claims are consecutive and consumption is in-order, so the
 // in-flight window is always {next_consumed .. next_consumed+depth-1} —
 // the reorder ring needs exactly `depth` slots and the index the transfer
-// stage waits for is always in flight (no deadlock).
+// stage waits for is always in flight (no deadlock). No more tickets than
+// the epoch's batches can be in flight, so the executor sizes the gate,
+// the ring and both queues by min(depth, num_batches): any depth >= 1 is
+// safe, however large.
 //
 // Cache-aware biased sampling couples batch i's sampling to batch i-1's
 // cache update through the residency bitmap, so its sample+transfer
@@ -278,9 +281,12 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
     return stats;
   }
 
-  support::StagedQueue<IndexedSampled> sampled(depth);
-  support::StagedQueue<IndexedPrepared> prepared(depth);
-  TicketGate gate(num_batches, depth);
+  // The in-flight window (see the file comment); stats keep reporting
+  // the configured depth.
+  const std::size_t window = std::min(depth, num_batches);
+  support::StagedQueue<IndexedSampled> sampled(window);
+  support::StagedQueue<IndexedPrepared> prepared(window);
+  TicketGate gate(num_batches, window);
   ErrorLatch latch;
   auto shutdown = [&] {
     gate.abort();
@@ -328,7 +334,7 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
     const std::size_t workers = std::min(
         {config.sampler_workers == 0 ? support::default_thread_count()
                                      : config.sampler_workers,
-         depth, num_batches});
+         window});
     stats.sampler_workers = std::max<std::size_t>(1, workers);
     for (std::size_t w = 0; w < stats.sampler_workers; ++w) {
       threads.emplace_back([&, w] {
@@ -354,25 +360,25 @@ PipelineEpochStats run_pipelined_epoch(std::size_t num_batches,
       obs::set_thread_name("gnav-stage-transfer");
       try {
         // Reorder ring: in-flight indices form a consecutive window of at
-        // most `depth` (TicketGate invariant), so residues mod depth are
-        // unique and `depth` slots suffice.
-        std::vector<std::optional<IndexedSampled>> ring(depth);
+        // most `window` (TicketGate invariant), so residues mod window are
+        // unique and `window` slots suffice.
+        std::vector<std::optional<IndexedSampled>> ring(window);
         double transfer_busy = 0.0;
         std::size_t next = 0;
         while (next < num_batches) {
           auto item = sampled.pop();
           if (!item) break;  // shut down
-          auto& slot = ring[item->index % depth];
+          auto& slot = ring[item->index % window];
           GNAV_CHECK(!slot.has_value(),
                      "pipeline reorder ring slot collision");
           slot = std::move(*item);
-          while (next < num_batches && ring[next % depth].has_value()) {
-            GNAV_CHECK(ring[next % depth]->index == next,
+          while (next < num_batches && ring[next % window].has_value()) {
+            GNAV_CHECK(ring[next % window]->index == next,
                        "pipeline reorder ring out of window");
             const auto t0 = Clock::now();  // gnav-lint(wall-clock): profiler wall
-            Prepared p = prepare(next, std::move(ring[next % depth]->value));
+            Prepared p = prepare(next, std::move(ring[next % window]->value));
             transfer_busy += seconds_since(t0);
-            ring[next % depth].reset();
+            ring[next % window].reset();
             if (!prepared.push({next, std::move(p)})) {
               next = num_batches;  // shut down
               break;

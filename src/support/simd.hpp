@@ -1,9 +1,9 @@
 // The one runtime ISA switch. Every kernel with hand-written SIMD paths —
-// the SpMM layer (kernels/spmm.hpp) and the dense products
-// (tensor/ops.hpp) — dispatches on simd_isa(), so a single process-wide
-// tier cap governs them all. Every tier produces identical bits by
-// construction; the lower tiers exist so tests can prove that on
-// whatever machine they run on.
+// the SpMM layer (kernels/spmm.hpp), the dense products (tensor/ops.hpp)
+// and the boosted-ensemble kernel (ml/gradient_boosting.hpp) — dispatches
+// on simd_isa(), so a single process-wide tier cap governs them all.
+// Every tier produces identical bits by construction; the lower tiers
+// exist so tests can prove that on whatever machine they run on.
 #pragma once
 
 #include <string>

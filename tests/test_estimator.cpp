@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include <cstdio>
 
@@ -27,6 +28,7 @@
 #include "ml/ridge.hpp"
 #include "runtime/templates.hpp"
 #include "support/error.hpp"
+#include "support/simd.hpp"
 #include "support/string_utils.hpp"
 
 namespace gnav::estimator {
@@ -448,6 +450,33 @@ TEST_F(EstimatorFixture, PerfEstimatorGeneralizesOutOfSample) {
   EXPECT_GT(ml::r2_score(m_true, m_pred), 0.3);
 }
 
+/// Whether two predictions agree bit for bit in every field.
+::testing::AssertionResult same_bits(const PerfPrediction& a,
+                                     const PerfPrediction& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::pair<const char*, std::pair<double, double>> fields[] = {
+      {"time_s", {a.time_s, b.time_s}},
+      {"memory_gb", {a.memory_gb, b.memory_gb}},
+      {"accuracy", {a.accuracy, b.accuracy}},
+      {"batch_nodes", {a.batch_nodes, b.batch_nodes}},
+      {"batch_edges", {a.batch_edges, b.batch_edges}},
+      {"cache_hit_rate", {a.cache_hit_rate, b.cache_hit_rate}},
+      {"overlap_ratio", {a.overlap_ratio, b.overlap_ratio}},
+      {"overlap_ratio_analytic",
+       {a.overlap_ratio_analytic, b.overlap_ratio_analytic}},
+  };
+  for (const auto& [name, v] : fields) {
+    if (bits(v.first) != bits(v.second)) {
+      return ::testing::AssertionFailure()
+             << name << " " << v.first << " vs " << v.second;
+    }
+  }
+  if (a.overlap_fitted != b.overlap_fitted) {
+    return ::testing::AssertionFailure() << "overlap_fitted differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST_F(EstimatorFixture, BlockPredictMatchesSinglePredict) {
   PerfEstimator est(*hw_);
   est.fit(*corpus_);
@@ -456,26 +485,33 @@ TEST_F(EstimatorFixture, BlockPredictMatchesSinglePredict) {
       dse::DesignSpace::full(dse::BaseSettings{}).enumerate();
   std::vector<PerfPrediction> block(configs.size());
   est.predict(configs, *stats_, block);
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const PerfPrediction one = est.predict(configs[i], *stats_);
-    const PerfPrediction& b = block[i];
-    ASSERT_EQ(bits(one.time_s), bits(b.time_s)) << "config " << i;
-    ASSERT_EQ(bits(one.memory_gb), bits(b.memory_gb)) << "config " << i;
-    ASSERT_EQ(bits(one.accuracy), bits(b.accuracy)) << "config " << i;
-    ASSERT_EQ(bits(one.batch_nodes), bits(b.batch_nodes)) << "config " << i;
-    ASSERT_EQ(bits(one.batch_edges), bits(b.batch_edges)) << "config " << i;
-    ASSERT_EQ(bits(one.cache_hit_rate), bits(b.cache_hit_rate))
+    ASSERT_TRUE(same_bits(est.predict(configs[i], *stats_), block[i]))
         << "config " << i;
-    ASSERT_EQ(bits(one.overlap_ratio), bits(b.overlap_ratio))
-        << "config " << i;
-    ASSERT_EQ(bits(one.overlap_ratio_analytic),
-              bits(b.overlap_ratio_analytic))
-        << "config " << i;
-    ASSERT_EQ(one.overlap_fitted, b.overlap_fitted) << "config " << i;
   }
   std::vector<PerfPrediction> short_out(1);
   EXPECT_THROW(est.predict(configs, *stats_, short_out), Error);
+  // A fully pruned cache-axis subtree hands predict an empty span.
+  EXPECT_NO_THROW(est.predict({}, *stats_, {}));
+}
+
+TEST_F(EstimatorFixture, PortableTierPredictsSameBits) {
+  // Under kAuto on an AVX2 host the depth-2 heads and the depth-3
+  // batch-size penalty score the block four rows at a time; kPortable
+  // walks every tree.
+  PerfEstimator est(*hw_);
+  est.fit(*corpus_);
+  const std::vector<runtime::TrainConfig> configs =
+      dse::DesignSpace::full(dse::BaseSettings{}).enumerate();
+  std::vector<PerfPrediction> fast(configs.size());
+  std::vector<PerfPrediction> portable(configs.size());
+  est.predict(configs, *stats_, fast);
+  support::set_simd_tier(support::SimdTier::kPortable);
+  est.predict(configs, *stats_, portable);
+  support::set_simd_tier(support::SimdTier::kAuto);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    ASSERT_TRUE(same_bits(fast[i], portable[i])) << configs[i].summary();
+  }
 }
 
 TEST_F(EstimatorFixture, BatchNodesAreTheBatchSizeModelsPrediction) {

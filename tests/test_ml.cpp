@@ -2,10 +2,13 @@
 // boosting, ridge regression, metrics, and splits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <span>
+#include <string>
 
 #include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
@@ -13,6 +16,7 @@
 #include "ml/ridge.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 
 namespace gnav::ml {
 namespace {
@@ -187,6 +191,39 @@ Matrix make_mixed_rows(std::size_t n, Rng& rng) {
   return x;
 }
 
+/// 1200 rows of make_mixed_rows, then copies of the first with one
+/// feature set to every split value of `ref`'s trees and the doubles on
+/// either side of it, or to NaN, ±inf, ±0 or a subnormal, and an all-NaN
+/// row.
+Matrix probe_rows(const TreeSumReference& ref, Rng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Matrix rows = make_mixed_rows(1200, rng);
+  const std::vector<double> seed_row = rows[0];
+  const auto add = [&](std::size_t f, double v) {
+    rows.push_back(seed_row);
+    rows.back()[f] = v;
+  };
+  for (const auto& tree : ref.trees) {
+    for (const auto& nd : tree.nodes()) {
+      if (nd.feature < 0) continue;
+      const auto f = static_cast<std::size_t>(nd.feature);
+      add(f, nd.threshold);
+      add(f, std::nextafter(nd.threshold, inf));
+      add(f, std::nextafter(nd.threshold, -inf));
+    }
+  }
+  for (std::size_t f = 0; f < seed_row.size(); ++f) {
+    for (const double v :
+         {nan, inf, -inf, 0.0, -0.0, tiny, -tiny, 4.0 * tiny, -1e-310}) {
+      add(f, v);
+    }
+  }
+  rows.push_back(std::vector<double>(seed_row.size(), nan));
+  return rows;
+}
+
 /// Expects the flat ensemble to give the reference's bits for every row,
 /// through predict_one, predict and predict_block in blocks of 1, 7, 128
 /// and 1000 rows.
@@ -227,8 +264,6 @@ TEST(GradientBoosting, FlatEnsembleMatchesTreeSum) {
   BoostingParams deeper;      // past the unrolled depths
   deeper.num_rounds = 20;
   deeper.tree.max_depth = 5;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
   for (const auto& [params, n_train] :
        {std::pair{small, std::size_t{32}}, std::pair{deep, std::size_t{128}},
         std::pair{deeper, std::size_t{128}}}) {
@@ -253,28 +288,7 @@ TEST(GradientBoosting, FlatEnsembleMatchesTreeSum) {
     EXPECT_LT(*std::min_element(depths.begin(), depths.end()),
               *std::max_element(depths.begin(), depths.end()));
 
-    Matrix rows = make_mixed_rows(1200, rng);
-    const std::vector<double> seed_row = rows[0];
-    // Every split value exactly, and the doubles on either side of it.
-    for (const auto& tree : ref.trees) {
-      for (const auto& nd : tree.nodes()) {
-        if (nd.feature < 0) continue;
-        for (const double v : {nd.threshold, std::nextafter(nd.threshold, inf),
-                               std::nextafter(nd.threshold, -inf)}) {
-          rows.push_back(seed_row);
-          rows.back()[static_cast<std::size_t>(nd.feature)] = v;
-        }
-      }
-    }
-    // NaN, ±inf and ±0 in each feature, and an all-NaN row.
-    for (std::size_t f = 0; f < seed_row.size(); ++f) {
-      for (const double v : {nan, inf, -inf, 0.0, -0.0}) {
-        rows.push_back(seed_row);
-        rows.back()[f] = v;
-      }
-    }
-    rows.push_back(std::vector<double>(seed_row.size(), nan));
-    expect_same_bits(gbm, ref, rows);
+    expect_same_bits(gbm, ref, probe_rows(ref, rng));
   }
 }
 
@@ -301,6 +315,89 @@ TEST(GradientBoosting, FlatEnsembleMatchesTreeSumWithoutSplits) {
   expect_same_bits(zero_rounds, TreeSumReference(params, x, flat), rows);
 }
 
+/// Pins the process-wide SIMD tier for one scope.
+class TierScope {
+ public:
+  explicit TierScope(support::SimdTier tier) { support::set_simd_tier(tier); }
+  ~TierScope() { support::set_simd_tier(support::SimdTier::kAuto); }
+  TierScope(const TierScope&) = delete;
+  TierScope& operator=(const TierScope&) = delete;
+};
+
+TEST(GradientBoosting, ColumnKernelMatchesPortableWalkBitwise) {
+  if (!support::cpu_has_avx2()) {
+    GTEST_SKIP() << "no AVX2 on this CPU";
+  }
+  // Depths 2 and 3 take the complete-tree kernel, 1 and 5 the walk.
+  for (const int depth : {1, 2, 3, 5}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    BoostingParams params;
+    params.num_rounds = depth == 2 ? 40 : 80;
+    params.tree.max_depth = depth;
+    Rng rng(90 + static_cast<std::uint64_t>(depth));
+    Matrix x = make_mixed_rows(128, rng);
+    std::vector<double> y;
+    for (const auto& row : x) {
+      y.push_back((row[0] > 4.0 ? 2.0 : 0.0) + std::sin(3.0 * row[1]) +
+                  row[2] * row[3] + 0.1 * rng.normal());
+    }
+    // Five outliers: fewer than min_samples_split, so the trees that split
+    // them off from the root keep them in a leaf at depth 1.
+    for (int i = 0; i < 5; ++i) {
+      x.push_back({50.0, rng.uniform(), 1.0, rng.uniform(-1.0, 1.0)});
+      y.push_back(40.0 + rng.normal());
+    }
+    GradientBoostingRegressor gbm(params);
+    gbm.fit(x, y);
+    const TreeSumReference ref(params, x, y);
+    ASSERT_EQ(gbm.round_count(), ref.trees.size());
+    int deepest = 0;
+    bool shallow_leaf = false;  // a leaf at depth 1 pads its subtree
+    for (const auto& tree : ref.trees) {
+      for (const int d : leaf_depths(tree)) {
+        deepest = std::max(deepest, d);
+        shallow_leaf = shallow_leaf || d == 1;
+      }
+    }
+    ASSERT_EQ(deepest, depth);
+    EXPECT_TRUE(shallow_leaf);
+
+    // Shuffled, so the special rows land in full groups of four and in
+    // tails alike.
+    Matrix rows = probe_rows(ref, rng);
+    std::shuffle(rows.begin(), rows.end(), std::mt19937_64(7));
+    const std::size_t p = rows.size();
+    const std::size_t width = rows[0].size();
+    std::vector<double> cols(width * p);  // feature-major
+    std::vector<double> want;
+    for (std::size_t r = 0; r < p; ++r) {
+      for (std::size_t f = 0; f < width; ++f) cols[f * p + r] = rows[r][f];
+      want.push_back(ref.predict_one(rows[r]));
+    }
+    for (const auto tier : {support::SimdTier::kAuto,
+                            support::SimdTier::kPortable}) {
+      const TierScope scope(tier);
+      // An empty block is legal and writes nothing.
+      EXPECT_NO_THROW(gbm.predict_columns({}, 0, {}));
+      for (const std::size_t block :
+           {1, 3, 4, 5, 127, 128, 129, 1000}) {
+        // Blocks of `block` rows read in place from the whole pool's
+        // block (stride p), so each has its own tail.
+        std::vector<double> got(p, -1.0);
+        for (std::size_t begin = 0; begin < p; begin += block) {
+          const std::size_t len = std::min(block, p - begin);
+          gbm.predict_columns(std::span(cols).subspan(begin), p,
+                              std::span(got).subspan(begin, len));
+        }
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), p * sizeof(double)),
+                  0)
+            << (tier == support::SimdTier::kAuto ? "kAuto" : "kPortable")
+            << " in blocks of " << block;
+      }
+    }
+  }
+}
+
 TEST(GradientBoosting, PredictRejectsRowsMissingASplitFeature) {
   Matrix x;
   std::vector<double> y;
@@ -312,6 +409,12 @@ TEST(GradientBoosting, PredictRejectsRowsMissingASplitFeature) {
   EXPECT_THROW(gbm.predict_one({}), Error);
   std::vector<double> out(1);
   EXPECT_THROW(gbm.predict_block(x, out), Error);  // count mismatch
+  // A block of two rows needs a stride of at least two.
+  const std::vector<double> cols = {0.5, 0.5, 0.5, 0.5};
+  std::vector<double> two(2);
+  EXPECT_NO_THROW(gbm.predict_columns(cols, 2, two));
+  EXPECT_THROW(gbm.predict_columns(cols, 1, two), Error);
+  EXPECT_THROW(gbm.predict_columns({}, 2, two), Error);
 }
 
 TEST(Ridge, RecoversLinearCoefficients) {

@@ -11,8 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/dataset.hpp"
@@ -348,6 +350,30 @@ TEST(PipelinedEpoch, TransferExceptionShutsDownAndPropagates) {
             [](std::size_t, int&&) {})),
         Error);
   }
+}
+
+TEST(PipelinedEpoch, DepthAboveTheBatchCountRunsTheSameEpoch) {
+  // The in-flight window is min(depth, batches): a depth near SIZE_MAX
+  // must neither size the reorder ring nor wrap the gate's bound.
+  const auto run = [](std::size_t depth) {
+    std::vector<int> consumed;
+    const auto stats = runtime::run_pipelined_epoch<int, int>(
+        3, async_config(2, depth), /*chain_sample_and_prepare=*/false,
+        [](std::size_t i) { return static_cast<int>(i) + 10; },
+        [](std::size_t, int&& v) { return v * 3; },
+        [&](std::size_t, int&& v) { consumed.push_back(v); });
+    return std::pair{consumed, stats};
+  };
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max() / 2;
+  const auto [want, want_stats] = run(3);
+  const auto [got, got_stats] = run(kHuge);
+  EXPECT_EQ(want, (std::vector<int>{30, 33, 36}));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_stats.batches, want_stats.batches);
+  EXPECT_EQ(got_stats.sampler_workers, want_stats.sampler_workers);
+  // The configured depth is what the report and the corpus record.
+  EXPECT_EQ(got_stats.prefetch_depth, kHuge);
+  EXPECT_EQ(want_stats.prefetch_depth, 3u);
 }
 
 TEST(PipelinedEpoch, ZeroBatchesIsANoOp) {
