@@ -6,10 +6,10 @@
 //
 //   modeled  — the cost model's pipelined vs sequential simulated epoch
 //              time (the original ablation);
-//   measured — the real pipelined epoch executor (GNAV_PIPELINE=async
-//              semantics, runtime/pipeline.hpp) vs the synchronous
-//              executor: actual stage-overlap speedup from wall-clock
-//              stage accounting, plus the overlap efficiency.
+//   measured — the real pipelined epoch executor (the async shape of
+//              runtime/pipeline.hpp) vs the synchronous executor:
+//              actual stage-overlap speedup from wall-clock stage
+//              accounting, plus the overlap efficiency.
 //
 // The gap between the two columns is exactly what the estimator's
 // f_overlapping correction learns from measured data: a second table

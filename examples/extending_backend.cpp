@@ -183,7 +183,7 @@ int main() {
   }
   std::printf("custom '%s' backend handled %llu SpMM dispatches "
               "(simd tier: %s)\n",
-              compute::current_backend_id().c_str(),
+              compute::current_backend().id().c_str(),
               static_cast<unsigned long long>(
                   CountingBackend::dispatches.load()),
               compute::current_backend().capabilities().simd_tier.c_str());

@@ -9,12 +9,15 @@
 //                  [--trace-out trace.json] [--metrics-out metrics.prom]
 //
 // Runs Step 1 (input analysis), Step 2 (guideline generation — reusing a
-// cached profiling corpus when --corpus is given), trains the baseline
-// PyG configuration and the generated guideline, and prints both,
-// including the epoch executor's measured stage/backpressure profile.
-// --pipeline/--pipeline-depth select the epoch executor (equivalent to
-// GNAV_PIPELINE / GNAV_PIPELINE_DEPTH). --backend picks the compute
-// backend of every run: profiling, training and serve jobs.
+// cached profiling corpus when --corpus is given; --save-corpus writes
+// the freshly profiled corpus the estimator was fitted on), trains the
+// baseline PyG configuration and the generated guideline, and prints
+// both, including the epoch executor's measured stage/backpressure
+// profile. --pipeline/--pipeline-depth select the epoch executor of
+// those two training runs. --backend picks the compute backend of every
+// run: profiling, training and serve jobs. The flags are set on each
+// run's options; no environment variable or thread-local default
+// stands in for them.
 //
 // --serve-jobs N switches Step 3 into multi-tenant serving: N jobs
 // alternating the guideline and the PyG baseline are priced with
@@ -37,12 +40,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "compute/backend.hpp"
 #include "estimator/corpus_io.hpp"
@@ -200,25 +203,24 @@ int main(int argc, char** argv) {
     const std::optional<double> min_accuracy =
         positive_flag(args, "min-accuracy", /*fraction=*/true);
     const dse::ExploreTargets targets = priority_by_name(priority_name);
-    // Executor flags are forwarded through the environment — the
-    // navigator's RunOptions default from GNAV_PIPELINE*.
-    if (args.contains("pipeline")) {
-      runtime::pipeline_mode_from_string(args.at("pipeline"));  // validate
-      ::setenv("GNAV_PIPELINE", args.at("pipeline").c_str(), 1);
-    }
-    if (args.contains("pipeline-depth")) {
-      count_flag(args, "pipeline-depth", 1);  // validate
-      ::setenv("GNAV_PIPELINE_DEPTH", args.at("pipeline-depth").c_str(), 1);
-    }
-    // --backend picks the compute backend for every run below. The scope
-    // pins it on this thread, where the navigator's runs and profiling
-    // resolve their RunOptions; serve jobs name it explicitly. An
-    // unknown id fails here, before any dataset loads, with the
-    // factory's list of registered ids.
+    // --backend picks the compute backend for every run below: profiling,
+    // the two training runs and the serve jobs. An unknown id fails here,
+    // before any dataset loads, with the factory's list of registered ids.
     const std::string backend_id = args.contains("backend")
                                        ? args.at("backend")
                                        : compute::kBlockedBackendId;
-    const compute::BackendScope backend_scope(backend_id);
+    compute::BackendFactory::create(backend_id);
+    runtime::RunOptions run_options;
+    run_options.epochs = epochs;
+    run_options.backend_id = backend_id;
+    if (args.contains("pipeline")) {
+      run_options.pipeline.mode =
+          runtime::pipeline_mode_from_string(args.at("pipeline"));
+    }
+    if (args.contains("pipeline-depth")) {
+      run_options.pipeline.prefetch_depth =
+          static_cast<std::size_t>(count_flag(args, "pipeline-depth", 1));
+    }
 
     dse::BaseSettings base;
     base.model = nn::model_kind_from_string(model_name);
@@ -227,23 +229,29 @@ int main(int argc, char** argv) {
     std::printf("input analysis: %s\n",
                 nav.dataset_stats().profile.to_string().c_str());
 
-    // Estimator preparation, optionally from / to a cached corpus.
+    // Estimator preparation, from a cached corpus or a fresh
+    // leave-one-out collection, which --save-corpus writes out.
+    std::vector<estimator::ProfiledRun> corpus;
     if (args.contains("corpus")) {
       std::printf("loading profiling corpus from %s...\n",
                   args.at("corpus").c_str());
-      nav.prepare(estimator::load_corpus(args.at("corpus")));
+      corpus = estimator::load_corpus(args.at("corpus"));
     } else {
       std::printf("profiling other datasets (leave-one-out)...\n");
-      nav.prepare_default(/*configs_per_dataset=*/12,
-                          /*augmentation_graphs=*/1,
-                          /*profiling_epochs=*/1);
+      estimator::CollectorOptions collect;
+      collect.configs_per_dataset = 12;
+      collect.epochs = 1;
+      collect.backend_id = backend_id;
+      corpus = estimator::collect_lodo_corpus(graph::dataset_names(),
+                                              nav.dataset().name,
+                                              /*augmentation_graphs=*/1,
+                                              nav.hardware(), collect);
       if (args.contains("save-corpus")) {
-        const auto corpus = estimator::collect_lodo_corpus(
-            graph::dataset_names(), dataset_name, 1, nav.hardware(), {});
         estimator::save_corpus(corpus, args.at("save-corpus"));
         std::printf("corpus saved to %s\n", args.at("save-corpus").c_str());
       }
     }
+    nav.prepare(corpus);
 
     dse::RuntimeConstraints constraints;
     constraints.max_memory_gb =
@@ -268,14 +276,14 @@ int main(int argc, char** argv) {
                   "no async-executor rows)\n\n");
     }
 
-    if (args.contains("serve-jobs")) {
-      runtime::TrainConfig pyg = runtime::template_by_name("pyg");
-      pyg.model = base.model;
-      pyg.num_layers = base.num_layers;
-      pyg.dropout = base.dropout;
-      pyg.learning_rate = base.learning_rate;
-      pyg.validate();
+    runtime::TrainConfig pyg = runtime::template_by_name("pyg");
+    pyg.model = base.model;
+    pyg.num_layers = base.num_layers;
+    pyg.dropout = base.dropout;
+    pyg.learning_rate = base.learning_rate;
+    pyg.validate();
 
+    if (args.contains("serve-jobs")) {
       serve::SchedulerOptions options;
       options.max_active = tenants;
       serve::JobScheduler sched(nav.backend(), nav.estimator_mut(),
@@ -317,8 +325,9 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    print_report("pyg:", nav.reproduce("pyg", epochs));
-    print_report("guideline:", nav.train(guideline.config, epochs));
+    print_report("pyg:", nav.backend().run(pyg, run_options));
+    print_report("guideline:",
+                 nav.backend().run(guideline.config, run_options));
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

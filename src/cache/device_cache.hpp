@@ -169,12 +169,6 @@ class DeviceCache {
                                  std::int64_t sequence = -1)
       GNAV_EXCLUDES(mu_);
 
-  /// Batches admitted so far (the expected next `sequence`).
-  std::uint64_t batches_applied() const GNAV_EXCLUDES(mu_) {
-    const support::MutexLock lock(mu_);
-    return batches_applied_;
-  }
-
   CachePolicy policy() const { return policy_; }
   std::size_t capacity() const { return capacity_; }
   std::size_t resident_count() const GNAV_EXCLUDES(mu_) {

@@ -296,13 +296,6 @@ const ComputeBackend& current_backend() {
   return *BackendFactory::create(kBlockedBackendId);
 }
 
-std::string current_backend_id() {
-  // Unscoped: name the fallback without creating it, so a RunOptions
-  // default that is then overwritten binds no cpu-blocked device gauges.
-  if (t_current_backend == nullptr) return kBlockedBackendId;
-  return t_current_backend->id();
-}
-
 BackendScope::BackendScope(std::shared_ptr<const ComputeBackend> backend)
     : backend_(std::move(backend)), prev_(t_current_backend) {
   GNAV_CHECK(backend_ != nullptr, "BackendScope: backend must be non-null");

@@ -30,11 +30,12 @@
 // argument; the backend id is the only selection there is.
 //
 // Selection is per run, collector or job (runtime::RunOptions,
-// estimator::CollectorOptions, serve::JobRequest::backend_id), or by a
-// lexical thread-local BackendScope; a thread with no scope resolves to
-// "cpu-blocked". The runtime pins RunOptions::backend_id with a scope in
-// the run and in every async stage closure, so concurrent jobs on shared
-// pools never see each other's kernels (pinned by test_serve.cpp).
+// estimator::CollectorOptions, serve::JobRequest::backend_id; each
+// defaults to "cpu-blocked"). The runtime pins RunOptions::backend_id
+// with a lexical thread-local BackendScope in the run and in every async
+// stage closure, where the nn layers find it; concurrent jobs on shared
+// pools never see each other's kernels (pinned by test_serve.cpp). A
+// thread with no scope resolves to "cpu-blocked".
 #pragma once
 
 #include <atomic>
@@ -192,9 +193,7 @@ class BackendFactory {
 
 /// Backend the calling thread currently resolves to: the innermost
 /// active BackendScope on this thread, else "cpu-blocked".
-/// current_backend_id() names it without creating it.
 const ComputeBackend& current_backend();
-std::string current_backend_id();
 
 /// RAII thread-local backend pin. The runtime pins RunOptions::backend_id
 /// with it for the whole run and re-pins inside every async stage closure

@@ -80,14 +80,8 @@ std::vector<ProfiledRun> collect_profiles(const graph::Dataset& dataset,
                                           const hw::HardwareProfile& hw,
                                           const CollectorOptions& options) {
   GNAV_CHECK(options.configs_per_dataset >= 1, "need at least one config");
-  // Resolve the backend on the CALLING thread: pool workers inherit no
-  // BackendScope, so current_backend_id() inside the run lambdas would
-  // see cpu-blocked, not the collector caller's pin.
-  const std::string backend_id = options.backend_id.empty()
-                                     ? compute::current_backend_id()
-                                     : options.backend_id;
-  GNAV_CHECK(compute::BackendFactory::is_registered(backend_id),
-             "CollectorOptions::backend_id \"" + backend_id +
+  GNAV_CHECK(compute::BackendFactory::is_registered(options.backend_id),
+             "CollectorOptions::backend_id \"" + options.backend_id +
                  "\" is not a registered compute backend");
   runtime::RuntimeBackend backend(dataset, hw);
   const DatasetStats stats = compute_dataset_stats(dataset);
@@ -112,7 +106,7 @@ std::vector<ProfiledRun> collect_profiles(const graph::Dataset& dataset,
     ro.evaluate_every_epoch = false;
     ro.record_batch_sizes = true;
     ro.seed = options.seed + static_cast<std::uint64_t>(i) * 7919ULL;
-    ro.backend_id = backend_id;
+    ro.backend_id = options.backend_id;
     // A controlled fraction of the corpus runs under the async executor
     // so its measured stage walls exist for the overlap-model fit. WHICH
     // rows are async is fixed by index (i % async_every == 0, pinned by
@@ -132,8 +126,6 @@ std::vector<ProfiledRun> collect_profiles(const graph::Dataset& dataset,
       ro.pipeline.mode = runtime::PipelineMode::kAsync;
       ro.pipeline.prefetch_depth = kDepths[mix % 4];
       ro.pipeline.sampler_workers = kWorkers[(mix >> 8) % 3];
-    } else {
-      ro.pipeline.mode = runtime::PipelineMode::kSync;
     }
     out[i].report = backend.run(out[i].config, ro);
   });

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "compute/backend.hpp"
 #include "estimator/dataset_stats.hpp"
 #include "hw/platform.hpp"
 #include "runtime/backend.hpp"
@@ -49,11 +50,8 @@ struct CollectorOptions {
   /// observables (and the executor metadata columns) differ. <= 0
   /// disables async profiling runs entirely.
   int async_every = 4;
-  /// Compute backend the profiled runs execute on. Empty resolves to the
-  /// CALLER's ambient backend (compute::current_backend_id()) once at
-  /// collect entry — pool workers carry no thread-local scope, so the
-  /// resolution cannot happen inside the per-run lambdas.
-  std::string backend_id;
+  /// Compute backend the profiled runs execute on.
+  std::string backend_id = compute::kBlockedBackendId;
 };
 
 /// Draws a random-but-valid configuration from the full design space.

@@ -88,11 +88,6 @@ class CsrGraph {
   /// True if `v` is a valid vertex id.
   bool contains(NodeId v) const { return v >= 0 && v < num_nodes(); }
 
-  /// Approximate resident bytes of the CSR arrays.
-  std::size_t memory_bytes() const {
-    return indptr_.size() * sizeof(EdgeId) + indices_.size() * sizeof(NodeId);
-  }
-
  private:
   static std::uint64_t next_uid();
 

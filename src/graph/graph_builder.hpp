@@ -28,7 +28,6 @@ class GraphBuilder {
   void add_undirected_edge(NodeId src, NodeId dst);
 
   NodeId num_nodes() const { return num_nodes_; }
-  std::size_t num_buffered_edges() const { return edges_.size(); }
 
   /// Options applied at finalization.
   GraphBuilder& remove_self_loops(bool enabled);

@@ -137,20 +137,17 @@ struct RunOptions {
   support::ThreadPool* pool = nullptr;
   /// Compute backend executing every forward/backward in this run (see
   /// compute/backend.hpp; all built-in CPU backends are bit-identical, so
-  /// for them this is purely a throughput knob). Defaults to the caller's
-  /// current selection, so an ambient compute::BackendScope composes with
-  /// it instead of being overridden. The run pins this id on its own
-  /// thread AND inside every async stage closure — no global state is
-  /// consulted mid-run.
-  std::string backend_id = compute::current_backend_id();
+  /// for them this is purely a throughput knob). The run pins this id on
+  /// its own thread AND inside every async stage closure; neither the
+  /// caller's BackendScope nor any other global state is consulted.
+  std::string backend_id = compute::kBlockedBackendId;
   /// Epoch executor shape (sync inline | async staged) plus prefetch
-  /// depth and sampler worker count, defaulted from GNAV_PIPELINE /
-  /// GNAV_PIPELINE_DEPTH / GNAV_PIPELINE_WORKERS. The async shape
-  /// produces a bit-identical TrainReport (batch stream, cache hit/miss
-  /// sequence, losses, accuracies, memory, modeled times) at any depth
-  /// and worker count — only wall-clock observables change. Depth and
-  /// workers are ignored inline (reported as 0 and 1).
-  PipelineConfig pipeline = default_pipeline_config();
+  /// depth and sampler worker count. The async shape produces a
+  /// bit-identical TrainReport (batch stream, cache hit/miss sequence,
+  /// losses, accuracies, memory, modeled times) at any depth and worker
+  /// count — only wall-clock observables change. Depth and workers are
+  /// ignored inline (reported as 0 and 1).
+  PipelineConfig pipeline;
 };
 
 class RuntimeBackend {

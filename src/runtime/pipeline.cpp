@@ -1,12 +1,8 @@
 #include "runtime/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
-#include "support/log.hpp"
-#include "support/parallel.hpp"
 
 namespace gnav::runtime {
 
@@ -18,33 +14,6 @@ PipelineMode pipeline_mode_from_string(const std::string& s) {
   if (s == "sync") return PipelineMode::kSync;
   if (s == "async") return PipelineMode::kAsync;
   throw Error("unknown pipeline mode '" + s + "' (sync | async)");
-}
-
-PipelineConfig default_pipeline_config() {
-  PipelineConfig config;
-  if (const char* raw = std::getenv("GNAV_PIPELINE")) {
-    try {
-      config.mode = pipeline_mode_from_string(raw);
-    } catch (const Error&) {
-      // Warn once — RunOptions defaults re-resolve this per run.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        log_warn("GNAV_PIPELINE='", raw,
-                 "' is invalid (sync | async); falling back to sync");
-      }
-    }
-  }
-  if (const auto depth = support::env_long("GNAV_PIPELINE_DEPTH", 1)) {
-    config.prefetch_depth = static_cast<std::size_t>(*depth);
-  }
-  // Minimum 0, not 1: GNAV_PIPELINE_WORKERS=0 is the documented "auto"
-  // spelling (resolves to default_thread_count(), same as unset). The old
-  // min of 1 made env_long reject 0 with a warning and silently fall back
-  // — a doc/parse mismatch pinned by test_pipeline.cpp.
-  if (const auto workers = support::env_long("GNAV_PIPELINE_WORKERS", 0)) {
-    config.sampler_workers = static_cast<std::size_t>(*workers);
-  }
-  return config;
 }
 
 double PipelineEpochStats::overlap_efficiency() const {

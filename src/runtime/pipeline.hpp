@@ -92,15 +92,6 @@ struct PipelineConfig {
   std::size_t sampler_workers = 0;
 };
 
-/// Resolves the process-wide default from the environment:
-///   GNAV_PIPELINE         sync | async            (default sync)
-///   GNAV_PIPELINE_DEPTH   prefetch depth >= 1     (default 4)
-///   GNAV_PIPELINE_WORKERS sampler workers >= 0;
-///                         0 = auto (default_thread_count())
-/// Invalid values log one warning and fall back to the default instead of
-/// silently misconfiguring the executor.
-PipelineConfig default_pipeline_config();
-
 /// Measured (real wall-clock, NOT simulated) execution profile of one
 /// epoch. Busy seconds are summed over the calls each stage made, in both
 /// shapes: inline, the three sums plus loop overhead make up the wall.

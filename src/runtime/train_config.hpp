@@ -46,8 +46,9 @@ struct TrainConfig {
   float dropout = 0.3f;
 
   // --- Category 4: computation ----------------------------------------
-  /// Degree-descending vertex reordering before training (improves host
-  /// sampling locality; see backend for the modeled effect).
+  /// Degree-descending vertex reordering (the paper's "Reorder" knob).
+  /// No graph is permuted: it is modeled as a 0.85 discount on host
+  /// sampling work (runtime/backend.cpp, estimator/features.cpp).
   bool reorder = false;
   /// Host/device pipelining (Eq. 4's max() overlap). Disabling it models
   /// a strictly sequential runtime — kept as an ablation toggle.

@@ -94,7 +94,9 @@ AdmissionPrice JobScheduler::price_locked(const JobRequest& request) const {
                                     : p.time_s;
   out.serial_stage_s = serial_epoch_s * static_cast<double>(request.epochs);
   if (request.pipeline.mode == runtime::PipelineMode::kAsync) {
-    estimator::OverlapExecutorShape shape = options_.default_shape;
+    // A request that leaves sampler_workers at 0 (auto) is priced at
+    // OverlapExecutorShape{}'s 4 workers.
+    estimator::OverlapExecutorShape shape;
     if (request.pipeline.prefetch_depth > 0) {
       shape.prefetch_depth = request.pipeline.prefetch_depth;
     }

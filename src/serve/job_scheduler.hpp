@@ -151,9 +151,6 @@ struct SchedulerOptions {
   std::uint64_t seed = 1;
   /// Admission ceiling on predicted_wall_s; 0 disables rejection.
   double max_price_s = 0.0;
-  /// Executor shape pricing assumes when a request leaves
-  /// sampler_workers at 0 (auto).
-  estimator::OverlapExecutorShape default_shape{4, 4};
   /// Refit the caller's estimator on base_corpus ∪ feedback at the end
   /// of every drain (requires base_corpus; feedback rows alone are
   /// usually too few for PerfEstimator::fit).

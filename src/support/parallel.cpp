@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <set>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -165,38 +163,23 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   if (state->error) std::rethrow_exception(state->error);
 }
 
-std::optional<long> env_long(const char* name, long min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min_value) {
-    // Reject 0 and garbage loudly — but only once per variable: this is
-    // called from per-run option defaults, and a warning per profiled
-    // run would flood the log.
-    static std::mutex warned_mutex;
-    static std::set<std::string> warned;
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lock(warned_mutex);
-      first = warned.insert(name).second;
-    }
-    if (first) {
-      log_warn(name, "='", raw, "' is invalid (need an integer >= ",
-               min_value, "); falling back to the default");
-    }
-    return std::nullopt;
-  }
-  return v;
-}
-
 std::size_t default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   const auto fallback = hw == 0 ? std::size_t{1} : static_cast<std::size_t>(hw);
-  if (const auto v = env_long("GNAV_THREADS", 1)) {
-    return static_cast<std::size_t>(*v);
+  const char* raw = std::getenv("GNAV_THREADS");
+  if (raw == nullptr) return fallback;
+  char* end = nullptr;
+  const long v = std::strtol(raw, &end, 10);
+  if (end != raw && *end == '\0' && v >= 1) return static_cast<std::size_t>(v);
+  // Reject 0 and garbage loudly, but once: every auto-sized pool and
+  // async epoch asks again.
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
+    log_warn("GNAV_THREADS='", raw,
+             "' is invalid (need an integer >= 1); falling back to ",
+             fallback);
   }
-  return fallback;  // unset, or invalid (warned once above)
+  return fallback;
 }
 
 ThreadPool& global_pool() {

@@ -20,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -102,17 +101,11 @@ class InlineExecutionScope {
   bool previous_;
 };
 
-/// Strict environment-integer parse shared by every GNAV_* count knob:
-/// the whole string must be a base-10 integer >= `min_value`. Returns
-/// nullopt when the variable is unset OR invalid; an invalid value (0
-/// where a count is needed, trailing junk, garbage) logs one warning per
-/// variable per process instead of silently misconfiguring anything.
-std::optional<long> env_long(const char* name, long min_value);
-
-/// Worker count from the GNAV_THREADS environment variable if set,
-/// otherwise std::thread::hardware_concurrency(). GNAV_THREADS must be a
-/// whole base-10 integer >= 1; anything else (0, trailing junk, garbage)
-/// logs a warning and falls back to the hardware concurrency.
+/// Worker count from the GNAV_THREADS environment variable (the library's
+/// one environment input) if set, otherwise
+/// std::thread::hardware_concurrency(). GNAV_THREADS must be a whole
+/// base-10 integer >= 1; anything else (0, trailing junk, garbage) logs
+/// one warning per process and falls back to the hardware concurrency.
 std::size_t default_thread_count();
 
 /// Process-wide pool, constructed lazily with `default_thread_count()`

@@ -154,6 +154,4 @@ std::size_t Rng::sample_cumulative(const std::vector<double>& cumulative) {
   return lo;
 }
 
-Rng Rng::fork() { return Rng(next_u64() ^ 0xA02BDBF7BB3C0A7ULL); }
-
 }  // namespace gnav

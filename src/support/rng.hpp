@@ -68,10 +68,6 @@ class Rng {
   /// (strictly increasing, last element is the total mass).
   std::size_t sample_cumulative(const std::vector<double>& cumulative);
 
-  /// Fork a child RNG with an independent stream (used to give each
-  /// parallel-conceptual component its own deterministic stream).
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;

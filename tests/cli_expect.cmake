@@ -2,7 +2,8 @@
 # comma-separated substring of EXPECT_OUTPUT somewhere in its combined
 # stdout/stderr. With LINE_REGEX set, the output lines it matches (at
 # their start) are checked too: exactly LINE_COUNT of them, each
-# containing LINE_HAS and none containing LINE_LACKS. With CHECK_FILE
+# containing every comma-separated substring of LINE_HAS and none
+# containing LINE_LACKS. With CHECK_FILE
 # set (an absolute path the command writes), the file is removed before
 # the run and must exist after it, containing FILE_HAS and not
 # FILE_LACKS.
@@ -55,12 +56,15 @@ if(DEFINED LINE_REGEX)
     message(FATAL_ERROR
             "${count} lines match \"${LINE_REGEX}\", expected ${LINE_COUNT}")
   endif()
+  string(REPLACE "," ";" line_needles "${LINE_HAS}")
   foreach(line IN LISTS lines)
     string(STRIP "${line}" line)
-    string(FIND "${line}" "${LINE_HAS}" at)
-    if(at EQUAL -1)
-      message(FATAL_ERROR "line lacks \"${LINE_HAS}\": ${line}")
-    endif()
+    foreach(needle IN LISTS line_needles)
+      string(FIND "${line}" "${needle}" at)
+      if(at EQUAL -1)
+        message(FATAL_ERROR "line lacks \"${needle}\": ${line}")
+      endif()
+    endforeach()
     if(DEFINED LINE_LACKS)
       string(FIND "${line}" "${LINE_LACKS}" at)
       if(NOT at EQUAL -1)

@@ -99,23 +99,23 @@ TEST(BackendCapabilities, InstanceResolvesHostSimdTier) {
 
 TEST(BackendScope, NestsAndRestoresPerThread) {
   // No scope on this thread: the one fallback is cpu-blocked.
-  EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
+  EXPECT_EQ(compute::current_backend().id(), compute::kBlockedBackendId);
   {
     compute::BackendScope outer(compute::kScalarBackendId);
-    EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
+    EXPECT_EQ(compute::current_backend().id(), compute::kScalarBackendId);
     // The pin is thread-local: a fresh thread has no scope and resolves
     // to cpu-blocked while this thread is pinned to cpu-scalar.
     std::string fresh_thread_id;
-    std::thread([&] { fresh_thread_id = compute::current_backend_id(); })
+    std::thread([&] { fresh_thread_id = compute::current_backend().id(); })
         .join();
     EXPECT_EQ(fresh_thread_id, compute::kBlockedBackendId);
     {
       compute::BackendScope inner(compute::kBlockedBackendId);
-      EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
+      EXPECT_EQ(compute::current_backend().id(), compute::kBlockedBackendId);
     }
-    EXPECT_EQ(compute::current_backend_id(), compute::kScalarBackendId);
+    EXPECT_EQ(compute::current_backend().id(), compute::kScalarBackendId);
   }
-  EXPECT_EQ(compute::current_backend_id(), compute::kBlockedBackendId);
+  EXPECT_EQ(compute::current_backend().id(), compute::kBlockedBackendId);
 }
 
 // ---------------------------------------------------- SpMM conformance

@@ -8,6 +8,8 @@
 // stage is deterministic at any thread count (task_seed batching + the
 // bit-identical SpMM kernel contract, see kernels/spmm.hpp and
 // test_kernels.cpp), so drift here means behavior actually changed.
+// GoldenTrace trains the guideline on the sync executor,
+// GoldenTraceAsyncExecutor on the async one (depth 3): same goldens.
 //
 // Regenerating the goldens (after an INTENDED behavior change):
 //
@@ -46,7 +48,7 @@ struct GoldenCase {
   double predicted_time_s;
   double predicted_memory_gb;
   double predicted_accuracy;
-  double final_epoch_loss;    // train(config, 2 epochs, seed 1)
+  double final_epoch_loss;    // run(config) for 2 epochs, seed 1
   /// Compute backend the whole trace executes under: goldens are keyed
   /// by backend id. cpu-blocked is the production backend; cpu-scalar
   /// gives the same bits and the estimator and DSE never see the
@@ -81,19 +83,23 @@ struct TraceResult {
   std::string config_text;
   estimator::PerfPrediction predicted;
   double final_epoch_loss = 0.0;
+  // The final training run's executor profile and backend.
+  runtime::PipelineReport executor;
+  std::string backend_id;
 };
 
-TraceResult run_trace(const GoldenCase& c) {
-  // Pin the case's backend for the entire pipeline: corpus collection,
-  // estimator fit, exploration, and the final training run all execute
-  // under it (RunOptions::backend_id defaults to the ambient scope).
-  const compute::BackendScope backend_scope(std::string(c.backend));
+TraceResult run_trace(const GoldenCase& c,
+                      const runtime::PipelineConfig& executor) {
+  // The case's backend runs the entire pipeline: corpus collection and
+  // the final training run name it in their options (the estimator fit
+  // and the exploration never see it). The final run uses `executor`.
   navigator::GNNavigator nav(graph::load_dataset(c.dataset),
                              hw::make_profile("rtx4090"),
                              dse::BaseSettings{});
   estimator::CollectorOptions opts;
   opts.configs_per_dataset = 8;
   opts.epochs = 1;
+  opts.backend_id = c.backend;
   std::vector<estimator::ProfiledRun> corpus;
   {
     const auto partner = graph::load_dataset(c.corpus_dataset);
@@ -112,9 +118,15 @@ TraceResult run_trace(const GoldenCase& c) {
   TraceResult result;
   result.config_text = guideline.config.to_config_map().to_guideline_text();
   result.predicted = guideline.predicted;
-  const runtime::TrainReport report =
-      nav.train(guideline.config, /*epochs=*/2, /*seed=*/1);
+  runtime::RunOptions ro;
+  ro.epochs = 2;
+  ro.seed = 1;
+  ro.backend_id = c.backend;
+  ro.pipeline = executor;
+  const runtime::TrainReport report = nav.backend().run(guideline.config, ro);
   result.final_epoch_loss = report.epoch_loss.back();
+  result.executor = report.pipeline;
+  result.backend_id = report.backend_id;
   return result;
 }
 
@@ -136,15 +148,18 @@ void print_regen_block(const GoldenCase& c, const TraceResult& r) {
               r.final_epoch_loss);
 }
 
-class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(GoldenTrace, PipelineMatchesCheckedInGolden) {
-  const GoldenCase& c = GetParam();
-  const TraceResult r = run_trace(c);
+void expect_matches_golden(const GoldenCase& c,
+                           const runtime::PipelineConfig& executor) {
+  const TraceResult r = run_trace(c, executor);
   if (std::getenv("GNAV_REGEN_GOLDEN") != nullptr) {
     print_regen_block(c, r);
     GTEST_SKIP() << "GNAV_REGEN_GOLDEN set: printed fresh goldens for "
                  << c.dataset << " instead of asserting";
+  }
+  EXPECT_EQ(r.backend_id, c.backend);
+  EXPECT_EQ(r.executor.executor, runtime::to_string(executor.mode));
+  if (executor.mode == runtime::PipelineMode::kAsync) {
+    EXPECT_EQ(r.executor.prefetch_depth, executor.prefetch_depth);
   }
   EXPECT_EQ(r.config_text, c.config_text) << "chosen guideline drifted";
   const auto near = [](double expected, double actual) {
@@ -165,17 +180,39 @@ TEST_P(GoldenTrace, PipelineMatchesCheckedInGolden) {
       << c.final_epoch_loss;
 }
 
-INSTANTIATE_TEST_SUITE_P(Registry, GoldenTrace,
-                         ::testing::ValuesIn(kGolden),
-                         [](const auto& info) {
-                           std::string name = info.param.dataset;
-                           name += "_";
-                           name += info.param.backend;
-                           for (char& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
-                         });
+std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
+  std::string name = info.param.dataset;
+  name += "_";
+  name += info.param.backend;
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
+class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenTrace, PipelineMatchesCheckedInGolden) {
+  expect_matches_golden(GetParam(), runtime::PipelineConfig{});
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, GoldenTrace, ::testing::ValuesIn(kGolden),
+                         golden_name);
+
+// The same goldens must hold VERBATIM when the final training run uses
+// the asynchronous pipelined epoch executor: the executor's bit-identity
+// contract (runtime/pipeline.hpp).
+using GoldenTraceAsyncExecutor = GoldenTrace;
+
+TEST_P(GoldenTraceAsyncExecutor, PipelineMatchesCheckedInGolden) {
+  runtime::PipelineConfig executor;
+  executor.mode = runtime::PipelineMode::kAsync;
+  executor.prefetch_depth = 3;
+  expect_matches_golden(GetParam(), executor);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, GoldenTraceAsyncExecutor,
+                         ::testing::ValuesIn(kGolden), golden_name);
 
 }  // namespace
 }  // namespace gnav

@@ -1,7 +1,8 @@
 // Tests for the epoch executor subsystem: the bounded MPMC StagedQueue,
 // the run_pipelined_epoch stage driver in both shapes (inline sync:
 // every callback on the calling thread; async: ordering, bounded
-// prefetch), error propagation, the env-knob validation, and the
+// prefetch), error propagation, the GNAV_THREADS validation, default
+// options that no environment or BackendScope reaches, and the
 // headline contract — the async shape's TrainReport is bit-identical to
 // the inline shape's for every template configuration, and for the two
 // samplers no template uses, at any worker count and prefetch depth
@@ -17,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "compute/backend.hpp"
+#include "estimator/profile_collector.hpp"
 #include "graph/dataset.hpp"
 #include "hw/platform.hpp"
 #include "runtime/backend.hpp"
@@ -399,6 +402,17 @@ TEST(PipelineEpochStats, OverlapEfficiencyEndpoints) {
   EXPECT_NEAR(s.overlap_efficiency(), 0.5, 1e-12);
 }
 
+graph::Dataset small_dataset() {
+  graph::SyntheticSpec spec;
+  spec.name = "pipeline-unit";
+  spec.num_nodes = 600;
+  spec.num_classes = 4;
+  spec.feature_dim = 12;
+  spec.min_degree = 3;
+  spec.max_degree = 60;
+  return graph::make_synthetic_dataset(spec, 5);
+}
+
 // ------------------------------------------------------- env validation
 
 struct EnvGuard {
@@ -419,40 +433,6 @@ struct EnvGuard {
   bool had_ = false;
 };
 
-TEST(EnvValidation, PipelineModeFallsBackToSyncOnGarbage) {
-  EnvGuard guard("GNAV_PIPELINE");
-  ::setenv("GNAV_PIPELINE", "turbo", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().mode, PipelineMode::kSync);
-  ::setenv("GNAV_PIPELINE", "async", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().mode, PipelineMode::kAsync);
-  ::setenv("GNAV_PIPELINE", "sync", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().mode, PipelineMode::kSync);
-  ::unsetenv("GNAV_PIPELINE");
-  EXPECT_EQ(runtime::default_pipeline_config().mode, PipelineMode::kSync);
-}
-
-TEST(EnvValidation, PipelineDepthRejectsZeroAndGarbage) {
-  EnvGuard guard("GNAV_PIPELINE_DEPTH");
-  ::setenv("GNAV_PIPELINE_DEPTH", "0", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().prefetch_depth, 4u);
-  ::setenv("GNAV_PIPELINE_DEPTH", "3x", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().prefetch_depth, 4u);
-  ::setenv("GNAV_PIPELINE_DEPTH", "-2", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().prefetch_depth, 4u);
-  ::setenv("GNAV_PIPELINE_DEPTH", "7", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().prefetch_depth, 7u);
-}
-
-TEST(EnvValidation, PipelineWorkersRejectsZeroAndGarbage) {
-  EnvGuard guard("GNAV_PIPELINE_WORKERS");
-  ::setenv("GNAV_PIPELINE_WORKERS", "0", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().sampler_workers, 0u);  // auto
-  ::setenv("GNAV_PIPELINE_WORKERS", "many", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().sampler_workers, 0u);
-  ::setenv("GNAV_PIPELINE_WORKERS", "5", 1);
-  EXPECT_EQ(runtime::default_pipeline_config().sampler_workers, 5u);
-}
-
 TEST(EnvValidation, ThreadCountRejectsZeroAndGarbage) {
   EnvGuard guard("GNAV_THREADS");
   const unsigned hw = std::thread::hardware_concurrency();
@@ -469,6 +449,34 @@ TEST(EnvValidation, ThreadCountRejectsZeroAndGarbage) {
   EXPECT_EQ(support::default_thread_count(), fallback);
 }
 
+// A run takes its executor and backend from its options alone: neither
+// the old GNAV_PIPELINE* variables nor the caller's BackendScope reach a
+// default RunOptions or CollectorOptions.
+TEST(EnvValidation, DefaultOptionsIgnorePipelineEnvAndCallerScope) {
+  EnvGuard mode_guard("GNAV_PIPELINE");
+  EnvGuard depth_guard("GNAV_PIPELINE_DEPTH");
+  ::setenv("GNAV_PIPELINE", "async", 1);
+  ::setenv("GNAV_PIPELINE_DEPTH", "3", 1);
+  const compute::BackendScope scope(compute::kScalarBackendId);
+  const graph::Dataset ds = small_dataset();
+  const hw::HardwareProfile hw = hw::make_profile("rtx4090");
+
+  runtime::RunOptions ro;
+  ro.epochs = 1;
+  const runtime::TrainReport report =
+      runtime::RuntimeBackend(ds, hw).run(runtime::template_pyg(), ro);
+  EXPECT_EQ(report.pipeline.executor, "sync");
+  EXPECT_EQ(report.backend_id, compute::kBlockedBackendId);
+
+  estimator::CollectorOptions opts;
+  opts.configs_per_dataset = 1;
+  opts.epochs = 1;
+  const std::vector<estimator::ProfiledRun> rows =
+      estimator::collect_profiles(ds, hw, opts);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].report.backend_id, compute::kBlockedBackendId);
+}
+
 TEST(EnvValidation, ModeStringRoundTrip) {
   EXPECT_EQ(runtime::to_string(PipelineMode::kAsync), "async");
   EXPECT_EQ(runtime::pipeline_mode_from_string("sync"), PipelineMode::kSync);
@@ -476,17 +484,6 @@ TEST(EnvValidation, ModeStringRoundTrip) {
 }
 
 // ------------------------------------------- async-vs-sync bit-identity
-
-graph::Dataset small_dataset() {
-  graph::SyntheticSpec spec;
-  spec.name = "pipeline-unit";
-  spec.num_nodes = 600;
-  spec.num_classes = 4;
-  spec.feature_dim = 12;
-  spec.min_degree = 3;
-  spec.max_degree = 60;
-  return graph::make_synthetic_dataset(spec, 5);
-}
 
 /// Every deterministic (non-wall-clock) field must match EXACTLY.
 void expect_reports_bit_identical(const runtime::TrainReport& sync_r,

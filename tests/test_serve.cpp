@@ -193,6 +193,14 @@ TEST_F(ServeAdmission, PriceIsExactlyPredictPipelinedWall) {
   EXPECT_TRUE(price.overlap_fitted);
   EXPECT_GT(price.predicted_wall_s, 0.0);
 
+  // Auto workers (0) are priced at OverlapExecutorShape{}'s 4.
+  JobRequest auto_req = req;
+  auto_req.pipeline.sampler_workers = 0;
+  const estimator::OverlapExecutorShape auto_shape{2, 4};
+  EXPECT_DOUBLE_EQ(
+      sched.price(auto_req).predicted_wall_s,
+      est_->predict_pipelined_wall_s(req.config, *stats_, auto_shape, serial));
+
   // Sync-executor jobs are priced at their serial stage seconds.
   JobRequest sync_req = req;
   sync_req.pipeline.mode = PipelineMode::kSync;
